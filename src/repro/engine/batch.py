@@ -39,13 +39,20 @@ import zlib
 from array import array
 from collections import OrderedDict
 from itertools import chain
+from numbers import Number
+from operator import index as _index
 from operator import itemgetter
 from time import perf_counter
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.compiler import CompiledSpec
 from repro.formal.alphabet import RoleSetAlphabet
 from repro.testing.faults import fire as _fire
+
+try:  # numpy only speeds up the one max an identity-mode id column needs
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
+    _np = None
 
 Symbol = Hashable
 ObjectId = Hashable
@@ -66,110 +73,262 @@ _PAYLOAD_ZLIB_LEVEL = 1
 #: objects at 8 bytes), fatal for a zlib bomb inside a corrupted payload.
 COLUMN_WIRE_LIMIT = 1 << 27
 
+#: Bytes of the widest per-object slot a session writes to the wire: an
+#: ``array('q')`` entry (a state index, a trace length, a reset mark).
+_SLOT_BYTES = 8
+
+#: Int ids at or above this bound are dict-interned instead of being their own
+#: codes.  Identity mode sizes every per-object column by the largest id seen,
+#: so the bound caps what one stray id can make a session allocate: a universe
+#: of this size packs into exactly ``COLUMN_WIRE_LIMIT`` bytes at
+#: ``_SLOT_BYTES`` a slot, the most a snapshot or journal column may carry
+#: (2**24 ids; in memory at most one byte of presence mask plus one state slot
+#: per kernel group for each).
+IDENTITY_LIMIT = COLUMN_WIRE_LIMIT // _SLOT_BYTES
+
+
+def _int_value(object_id: ObjectId) -> int:
+    """The int an object id equals as a dict key, or ``-1`` when there is none.
+
+    Ints, bools and numpy integers convert exactly (``operator.index``); any
+    other number equal to an int names that int (``2.0`` and ``2`` are one
+    dict key, so they are one object).  Negative ints come back negative, so
+    ``0 <= value`` alone says whether an id can be an identity code.
+    """
+    if type(object_id) is int:
+        return object_id
+    if isinstance(object_id, str):
+        return -1
+    try:
+        return _index(object_id)
+    except TypeError:
+        pass
+    if isinstance(object_id, Number):
+        try:
+            value = int(object_id)
+        except (TypeError, ValueError, OverflowError):
+            return -1
+        if value == object_id:
+            return value
+    return -1
+
+
+def _checked_universe(size) -> int:
+    """An identity-universe size read off the wire, validated."""
+    if type(size) is not int or not 0 <= size <= IDENTITY_LIMIT:
+        raise ValueError(f"an identity universe of {size!r} ids is outside 0..{IDENTITY_LIMIT}")
+    return size
+
+
+def _q_array(values: Sequence[int]) -> array:
+    """Non-negative ints as ``array('q')``, in one C-speed pass.
+
+    Typecode ``"Q"`` converts each item with a bare ``__index__`` call, about
+    twice as fast as ``"q"``'s per-item argument parsing, and the two layouts
+    agree on every non-negative value, so the result is a bytewise copy.
+    Negative values (only a crafted wire payload carries them) take the slow
+    typecode instead of raising here.
+    """
+    try:
+        unsigned = array("Q", values)
+    except OverflowError:
+        return array("q", values)
+    column = array("q")
+    column.frombytes(memoryview(unsigned).cast("B"))
+    return column
+
 
 class ObjectInterner:
-    """Dense integer ids for stream objects, append-only like the alphabet.
+    """Dense integer codes for stream objects, append-only like the alphabet.
 
-    Starts in a *dense* mode where integer ids forming an initial segment
-    ``0..n-1`` are their own codes (the shape every workload generator
-    emits), so encoding such a column is a copy instead of a dict sweep.
-    The first column that breaks the pattern transparently switches to
-    dict interning; codes handed out earlier never change.
+    **Identity mode.**  Every non-negative int id below
+    :data:`IDENTITY_LIMIT` is its own code, gaps allowed: the universe -- the
+    code space -- is the largest id seen plus one, so ids ``0`` and ``9``
+    make a universe of ten whose eight unfed slots each cost a column entry
+    but are never reported.  Which ids a stream was actually fed is the
+    stream's business (its presence mask, see
+    :class:`repro.engine.engine.StreamChecker`), not the interner's.  A
+    column of such ids is checked and copied in one C-speed
+    ``array('Q')`` pass (non-int, negative and oversized ids raise inside
+    it) plus a max, and the copy becomes the batch's ``ids`` column:
+    encoding a batch costs what it adds, never a re-hash of known ids.
+    "Int" means whatever ``operator.index`` accepts, so ``True`` and
+    ``numpy.int64(3)`` name the ints ``1`` and ``3``, as they would as dict
+    keys; int ids come back from :meth:`object` as plain ints.
+
+    **The memory bound.**  Identity mode sizes per-object state by the
+    largest id, so one stray id decides the allocation.
+    :data:`IDENTITY_LIMIT` is a constant, not an option: it is the universe
+    whose widest wire column (8 bytes a slot) fills
+    :data:`COLUMN_WIRE_LIMIT`, the most a snapshot or journal column may
+    carry, so a session that could not be checkpointed is never built from
+    identity codes.
+
+    **Dict mode.**  The first id that is not an in-bound int (a string, a
+    negative int, ``10**12``) ends identity mode for good: the universe
+    freezes, and that id and every later id outside the universe are
+    dict-interned, their codes counting on from the universe in order of
+    first sight.  Leaving identity mode allocates nothing per slot, and no
+    code handed out earlier ever changes: ids inside the frozen universe
+    keep their identity codes, and any number equal to one of them (``2.0``
+    for ``2``) names the same object, as a dict key would.
+
+    :meth:`intern` and :meth:`intern_column` agree id for id: a column
+    interned whole or one id at a time hands out the same codes and leaves
+    the same state, so codes never depend on how a stream was cut into
+    batches.
+
+    **Presence.**  Holding a code is not being fed: gap ids, ids of a
+    ``reject_batch`` refusal and ids of a pre-encoded batch that was never
+    fed all hold codes.  A stream counts an object as present once an
+    admitted event carried it, and lists only present objects.
+
+    Contract changes from the earlier initial-segment dense mode: int ids
+    are their own codes across gaps (``intern(10)`` after ``0..2`` is 10,
+    not 3), and a stream's ``objects()`` lists int ids in ascending order.
     """
 
-    __slots__ = ("_codes", "_objects", "_dense")
+    __slots__ = ("_universe", "_codes", "_objects")
 
     def __init__(self) -> None:
-        self._dense = 0
+        #: Identity codes: every code below this bound is the int id itself.
+        self._universe = 0
+        #: Dict-interned ids, plus the identity ids met in dict mode (cached),
+        #: to their codes.
         self._codes: Dict[ObjectId, int] = {}
+        #: Dict-interned ids in code order; ``_objects[i]`` has code
+        #: ``_universe + i``.  Empty exactly while in identity mode.
         self._objects: List[ObjectId] = []
 
     def __len__(self) -> int:
-        return self._dense if not self._objects else len(self._objects)
-
-    def _leave_dense_mode(self) -> None:
-        if not self._objects and self._dense:
-            self._objects = list(range(self._dense))
-            self._codes = {code: code for code in range(self._dense)}
+        return self._universe + len(self._objects)
 
     def intern(self, object_id: ObjectId) -> int:
-        """The dense code of one object, allocating a fresh one on first sight."""
+        """The code of one object, allocating a fresh one on first sight."""
         if not self._objects:
-            if type(object_id) is int and 0 <= object_id <= self._dense:
-                if object_id == self._dense:
-                    self._dense += 1
-                return object_id
-            self._leave_dense_mode()
+            value = _int_value(object_id)
+            if 0 <= value < IDENTITY_LIMIT:
+                if value >= self._universe:
+                    self._universe = value + 1
+                return value
         code = self._codes.get(object_id)
-        if code is None:
-            code = len(self._objects)
-            self._codes[object_id] = code
+        return self._dict_code(object_id) if code is None else code
+
+    def _dict_code(self, object_id: ObjectId) -> int:
+        """The code of an id the code dict does not hold yet (dict mode)."""
+        universe = self._universe
+        value = _int_value(object_id) if universe else -1
+        if 0 <= value < universe:
+            code = value  # inside the frozen universe: its identity code
+        else:
+            code = universe + len(self._objects)
             self._objects.append(object_id)
+        self._codes[object_id] = code
         return code
 
     def intern_column(self, column: Sequence[ObjectId]) -> List[int]:
-        """Encode a whole id column, preferring the C-speed dense fast path."""
+        """Encode a whole id column; the codes agree with :meth:`intern`."""
+        codes = self._intern_ids(column)
+        return codes.tolist() if isinstance(codes, array) else codes
+
+    def _intern_ids(self, column: Sequence[ObjectId]):
+        """The column's codes: its own ``array('q')`` copy when every id is an
+        identity code, otherwise a list."""
         if not column:
             return []
-        # dict.fromkeys, not set(): first-appearance order, so the codes
-        # handed out below do not depend on the process hash seed.
-        distinct = dict.fromkeys(column)
         if not self._objects:
-            if all(type(object_id) is int for object_id in distinct):
-                low = min(distinct)
-                high = max(distinct)
-                if low >= 0 and (
-                    high < self._dense
-                    or sum(1 for o in distinct if o >= self._dense) == high + 1 - self._dense
-                ):
-                    # The union with the existing universe is still an
-                    # initial segment of the integers: identity encoding.
-                    self._dense = max(self._dense, high + 1)
-                    return list(column)
-            self._leave_dense_mode()
+            ids = self._identity_ids(column)
+            if ids is not None:
+                return ids
+            # Some id leaves identity mode: the ids before it are still their
+            # own codes, exactly as interning them one at a time would say.
+            intern = self.intern
+            codes = []
+            for position, object_id in enumerate(column):
+                codes.append(intern(object_id))
+                if self._objects:
+                    codes.extend(self._dict_ids(column[position + 1 :]))
+                    break
+            return codes
+        return self._dict_ids(column)
+
+    def _identity_ids(self, column: Sequence[ObjectId]) -> Optional[array]:
+        """The column as ``array('q')`` when every id is an in-bound int id."""
+        try:
+            unsigned = array("Q", column)  # TypeError: not an int; OverflowError: < 0
+        except (TypeError, OverflowError):
+            return None
+        high = int(_np.frombuffer(unsigned, _np.uint64).max()) if _np is not None else max(unsigned)
+        if high >= IDENTITY_LIMIT:
+            return None
+        if high >= self._universe:
+            self._universe = high + 1
+        ids = array("q")
+        ids.frombytes(memoryview(unsigned).cast("B"))
+        return ids
+
+    def _dict_ids(self, column: Sequence[ObjectId]) -> List[int]:
+        """Dict-mode codes for a column: new ids interned in first-sight order."""
         codes = self._codes
         objects = self._objects
-        for object_id in distinct:
+        universe = self._universe
+        # dict.fromkeys, not set(): first-appearance order, so the codes
+        # handed out below do not depend on the process hash seed.
+        for object_id in dict.fromkeys(column):
             if object_id not in codes:
-                codes[object_id] = len(objects)
-                objects.append(object_id)
+                if universe:
+                    self._dict_code(object_id)
+                else:
+                    codes[object_id] = len(objects)
+                    objects.append(object_id)
         return list(map(codes.__getitem__, column))
 
     def code_of(self, object_id: ObjectId, default: int = -1) -> int:
-        """The existing code of ``object_id``, or ``default`` -- never interns."""
-        if not self._objects:
-            if type(object_id) is int and 0 <= object_id < self._dense:
-                return object_id
-            return default
-        return self._codes.get(object_id, default)
+        """The existing code of ``object_id``, or ``default`` -- never interns.
+
+        Identity codes answer for every id inside the universe, fed or not:
+        an unfed gap id reads as an object still at its initial state.
+        """
+        if self._objects:
+            code = self._codes.get(object_id)
+            if code is not None:
+                return code
+        value = _int_value(object_id)
+        return value if 0 <= value < self._universe else default
 
     def object(self, code: int) -> ObjectId:
         """The object carrying ``code`` (inverse of :meth:`intern`)."""
-        return code if not self._objects else self._objects[code]
+        universe = self._universe
+        return code if code < universe else self._objects[code - universe]
 
     def to_snapshot(self) -> Tuple:
-        """The id space as a picklable pair (dense count, or the object list).
+        """The id space as a picklable pair.
 
-        Dense mode serializes as a single integer; dict mode ships the
-        object list in code order (codes are its indices), which
-        :meth:`from_snapshot` inverts exactly -- codes never move across a
-        snapshot round trip.
+        Identity mode serializes as ``("dense", universe)``; dict mode as
+        ``("objects", every object in code order)``, the universe's ints
+        first -- :meth:`from_snapshot` inverts both exactly, so codes never
+        move across a snapshot round trip.
         """
         if not self._objects:
-            return ("dense", self._dense)
-        return ("objects", list(self._objects))
+            return ("dense", self._universe)
+        return ("objects", list(range(self._universe)) + self._objects)
 
     def tail(self, start: int) -> Tuple:
         """The id-space delta since the first ``start`` codes, as a payload.
 
-        Dense mode ships only the current count (integer ids are their own
-        codes); dict mode ships the object-list slice ``[start:]`` in code
-        order.  :meth:`extend_tail` applies the payload to an interner whose
-        first ``start`` codes match -- the journal's replay contract.
+        Identity mode ships only the current universe (int ids are their own
+        codes); dict mode ships the objects holding codes ``start`` onward,
+        in code order.  :meth:`extend_tail` applies the payload to an
+        interner whose first ``start`` codes match -- the journal's replay
+        contract.
         """
         if not self._objects:
-            return ("dense", self._dense)
-        return ("objects", list(self._objects[start:]))
+            return ("dense", self._universe)
+        universe = self._universe
+        return (
+            "objects",
+            list(range(start, universe)) + self._objects[max(0, start - universe) :],
+        )
 
     def extend_tail(self, payload: Tuple, start: int) -> None:
         """Apply a :meth:`tail` payload recorded at id-space size ``start``.
@@ -183,20 +342,19 @@ class ObjectInterner:
         if kind == "dense":
             if self._objects:
                 raise ValueError("a dense id-space tail cannot extend a dict-mode interner")
-            self._dense = max(self._dense, data)
+            self._universe = max(self._universe, _checked_universe(data))
             return
         if kind != "objects":
             raise ValueError(f"unknown object-interner tail kind {kind!r}")
-        self._leave_dense_mode()
-        if len(self._objects) != start:
+        if len(self) != start:
             raise ValueError(
                 f"object-id tail recorded at size {start} cannot extend an interner "
-                f"holding {len(self._objects)} codes"
+                f"holding {len(self)} codes"
             )
         codes = self._codes
         objects = self._objects
-        for object_id in data:
-            codes[object_id] = len(objects)
+        for code, object_id in enumerate(data, start):
+            codes[object_id] = code
             objects.append(object_id)
 
     @classmethod
@@ -205,7 +363,7 @@ class ObjectInterner:
         kind, data = payload
         interner = cls()
         if kind == "dense":
-            interner._dense = data
+            interner._universe = _checked_universe(data)
         elif kind == "objects":
             interner._objects = list(data)
             # dict(zip(...)) builds the inverse map in C -- on a 10^5-object
@@ -239,6 +397,12 @@ def _unpack_column(packed: Tuple[str, int, bytes], limit: Optional[int] = None) 
     ``MemoryError``: decompression stops at the bound and raises
     ``ValueError`` instead of materializing the claimed size.
     """
+    return _unpack_array(packed, limit).tolist()
+
+
+def _unpack_array(packed: Tuple[str, int, bytes], limit: Optional[int] = None) -> array:
+    """:func:`_unpack_column` stopping at the ``array``, for callers that gather
+    straight off its buffer."""
     typecode, compressed, data = packed
     if compressed:
         if limit is None:
@@ -252,62 +416,73 @@ def _unpack_column(packed: Tuple[str, int, bytes], limit: Optional[int] = None) 
         raise ValueError(f"packed column carries more than the {limit}-byte bound")
     column = array(typecode)
     column.frombytes(data)
-    return column.tolist()
+    return column
 
 
 class EncodedBatch:
     """An interleaved event batch encoded once into dense integer columns.
 
-    ``ids`` and ``codes`` expose the columns as ``array('q')``; the kernel
-    sweeps the plain-list views (:attr:`id_list` / :attr:`code_list`), which
-    index faster.  A batch is immutable once built and remembers the
-    :class:`ObjectInterner` that owns its id space, so streams can adopt a
-    pre-encoded batch without re-hashing anything.
+    ``ids`` and ``codes`` expose the columns as ``array('q')``; the fused
+    kernel sweeps the plain-list views (:attr:`id_list` /
+    :attr:`code_list`), which index faster.  The id column is built as
+    whichever of the two the encoder produced -- identity interning hands
+    over its checked ``array('q')`` copy -- and the other form is derived on
+    first use, so the vector kernel never materializes a list of ids.  A
+    batch is immutable once built and remembers the :class:`ObjectInterner`
+    that owns its id space, so streams can adopt a pre-encoded batch without
+    re-hashing anything.
     """
 
     __slots__ = (
-        "id_list",
         "code_list",
         "objects",
         "alphabet",
         "max_code",
+        "_id_list",
         "_max_id",
         "_ids",
         "_codes",
         "_np_ids",
         "_np_codes",
         "_np_plan",
+        "_np_carried",
     )
 
     def __init__(
         self,
-        id_list: List[int],
+        ids: Union[List[int], array],
         code_list: List[int],
         objects: ObjectInterner,
         alphabet: Optional[RoleSetAlphabet] = None,
         max_code: Optional[int] = None,
     ) -> None:
-        self.id_list = id_list
+        #: Exactly one id form is set here: an ``array('q')`` column (as
+        #: identity interning produces it) or a list.
+        column = isinstance(ids, array) and ids.typecode == "q"
+        self._ids: Optional[array] = ids if column else None
+        self._id_list: Optional[List[int]] = None if column else ids
         self.code_list = code_list
         self.objects = objects
         #: The alphabet the codes were minted against (``None`` after a wire
         #: round trip); streams refuse batches from a foreign alphabet.
         self.alphabet = alphabet
-        #: ``max_code`` may be passed as an upper bound by callers slicing a
-        #: sub-batch out of an already-validated batch (the enforcement
-        #: gate's admitted subset): validation only compares it against the
-        #: alphabet size, so inheriting the parent's bound is safe and skips
-        #: an O(n) scan.
+        #: ``max_code`` may be passed as an upper bound instead of the exact
+        #: maximum (the encoder passes its alphabet's size, the enforcement
+        #: gate its parent batch's bound): validation only compares it
+        #: against the alphabet size, so any bound the codes provably stay
+        #: under is safe and skips an O(n) scan.
         self.max_code = max(code_list, default=-1) if max_code is None else max_code
         self._max_id: Optional[int] = None
-        self._ids: Optional[array] = None
         self._codes: Optional[array] = None
-        #: ndarray views of the columns and the cached peel plan, filled by
-        #: :mod:`repro.engine.vector` (a batch is immutable, so both are
-        #: derived once and shared by every stream the batch is fed to).
+        #: ndarray views of the columns, the cached peel plan and (for
+        #: batches with more events than their streams have objects) the
+        #: distinct ids, filled by :mod:`repro.engine.vector` (a batch is
+        #: immutable, so all are derived once and shared by every stream the
+        #: batch is fed to).
         self._np_ids = None
         self._np_codes = None
         self._np_plan = None
+        self._np_carried = None
 
     @classmethod
     def from_events(
@@ -316,24 +491,30 @@ class EncodedBatch:
         alphabet: RoleSetAlphabet,
         objects: Optional[ObjectInterner] = None,
     ) -> "EncodedBatch":
-        """Encode ``(object id, symbol)`` pairs in two C-speed column passes.
+        """Encode ``(object id, symbol)`` pairs, one C-speed pass per column.
 
         Unseen symbols are interned into ``alphabet`` (append-only, so codes
         already handed out never move); unseen objects are interned into
-        ``objects`` (a fresh interner when not given).
+        ``objects`` (a fresh interner when not given).  The alphabet's size
+        is the batch's ``max_code`` bound, so no pass re-scans the codes.
         """
         events = events if isinstance(events, (list, tuple)) else list(events)
         interner = objects if objects is not None else ObjectInterner()
         if not events:
             return cls([], [], interner, alphabet)
-        raw_ids = list(map(itemgetter(0), events))
-        raw_symbols = list(map(itemgetter(1), events))
-        return cls(
-            interner.intern_column(raw_ids), alphabet.encode_column(raw_symbols), interner, alphabet
-        )
+        ids = interner._intern_ids(list(map(itemgetter(0), events)))
+        codes = alphabet.encode_column(list(map(itemgetter(1), events)))
+        return cls(ids, codes, interner, alphabet, max_code=len(alphabet) - 1)
 
     def __len__(self) -> int:
-        return len(self.id_list)
+        return len(self._ids if self._id_list is None else self._id_list)
+
+    @property
+    def id_list(self) -> List[int]:
+        """The object-id column as a list."""
+        if self._id_list is None:
+            self._id_list = self._ids.tolist()
+        return self._id_list
 
     @property
     def max_id(self) -> int:
@@ -346,20 +527,20 @@ class EncodedBatch:
     def ids(self) -> array:
         """The object-id column as ``array('q')``."""
         if self._ids is None:
-            self._ids = array("q", self.id_list)
+            self._ids = _q_array(self._id_list)
         return self._ids
 
     @property
     def codes(self) -> array:
         """The symbol-code column as ``array('q')``."""
         if self._codes is None:
-            self._codes = array("q", self.code_list)
+            self._codes = _q_array(self.code_list)
         return self._codes
 
     def to_payload(self, compress: bool = True) -> Tuple:
         """Column bytes for the wire (the id space itself is not shipped)."""
         return (
-            len(self.id_list),
+            len(self),
             _pack_column(self.id_list, compress),
             _pack_column(self.code_list, compress),
         )
@@ -375,7 +556,7 @@ class EncodedBatch:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EncodedBatch({len(self.id_list)} events)"
+        return f"EncodedBatch({len(self)} events)"
 
 
 class ColumnarHistorySet:
@@ -451,6 +632,37 @@ class ColumnarHistorySet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarHistorySet({len(self)} histories, {len(self.code_list)} events)"
+
+
+class Rejections:
+    """The events one enforcement screen refused, as position-sorted columns.
+
+    ``positions`` (batch positions), ``objects`` (dense ids) and ``codes``
+    are parallel columns; ``states`` holds one column per kernel group with
+    each refused object's pre-event dense state index.  The fused kernel
+    fills lists and the vector kernel ndarrays; :meth:`records` builds the
+    per-event ``(position, dense id, code, per-group states)`` tuples only
+    when someone reads them, so a caller that counts refusals never does.
+    """
+
+    __slots__ = ("positions", "objects", "codes", "states")
+
+    def __init__(self, positions, objects, codes, states: Sequence) -> None:
+        self.positions = positions
+        self.objects = objects
+        self.codes = codes
+        self.states = states
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def records(self, stop: Optional[int] = None) -> List[Tuple]:
+        """The first ``stop`` refusals (all by default) as tuples."""
+        positions, objects, codes, *states = [
+            column[:stop] if isinstance(column, list) else column[:stop].tolist()
+            for column in (self.positions, self.objects, self.codes, *self.states)
+        ]
+        return list(zip(positions, objects, codes, zip(*states)))
 
 
 class ProductCapExceeded(Exception):
@@ -771,7 +983,7 @@ class FusedKernel:
 
     def advance_all_enforced(
         self, columns: List[list], batch: EncodedBatch
-    ) -> Tuple[List[list], List[Tuple]]:
+    ) -> Tuple[List[list], Rejections]:
         """Screen-and-advance one batch on *copies* of ``columns``.
 
         The transactional half of ``feed_events(..., enforce=True)``: the
@@ -779,27 +991,33 @@ class FusedKernel:
         discard the copies wholesale.  Per event, the successor state of
         every group is checked against the group's ``alive`` vector; an
         event whose successor is doomed for any spec is *not* applied and is
-        recorded as ``(position, dense id, code, per-group pre-event state
-        indices)``.  Later events of the same object screen against the
+        recorded with its position, dense id, code and per-group pre-event
+        state indices.  Later events of the same object screen against the
         state *without* the rejected event -- exactly the ``reject_event``
-        skip-and-continue semantics.  Returns ``(new columns, rejections)``;
-        rejections are in plan order, not necessarily position order.
+        skip-and-continue semantics.  Returns ``(new columns, rejections)``.
         """
         copies = [list(column) for column in columns]
-        rejections: List[Tuple] = []
+        positions: List[int] = []
+        objects: List[int] = []
+        codes: List[int] = []
+        states: List[List[int]] = [[] for _ in copies]
         id_list = batch.id_list
         code_list = batch.code_list
         if len(copies) == 1:
             column = copies[0]
             alive = self.groups[0].alive
+            pre = states[0]
             for p, (o, c) in enumerate(zip(id_list, code_list)):
                 row = column[o]
                 successor = row[c]
                 if alive[successor[-1]]:
                     column[o] = successor
                 else:
-                    rejections.append((p, o, c, (row[-1],)))
-            return copies, rejections
+                    positions.append(p)
+                    objects.append(o)
+                    codes.append(c)
+                    pre.append(row[-1])
+            return copies, Rejections(positions, objects, codes, states)
         alive_flags = [group.alive for group in self.groups]
         for p, (o, c) in enumerate(zip(id_list, code_list)):
             rows = [column[o] for column in copies]
@@ -811,8 +1029,12 @@ class FusedKernel:
                 for column, successor in zip(copies, successors):
                     column[o] = successor
             else:
-                rejections.append((p, o, c, tuple(row[-1] for row in rows)))
-        return copies, rejections
+                positions.append(p)
+                objects.append(o)
+                codes.append(c)
+                for pre, row in zip(states, rows):
+                    pre.append(row[-1])
+        return copies, Rejections(positions, objects, codes, states)
 
     def fatal_histories(
         self, code_list, lengths: Sequence[int]
@@ -1004,12 +1226,36 @@ class FusedKernel:
         differently, handing over to the general per-spec translation path
         (:meth:`columns_from_states`).
         """
+        lookups = self._restore_lookups(groups, initials, resets)
+        if lookups is None:
+            return None
+        return self._columns_from_indices(
+            [
+                list(
+                    map(
+                        lookup.__getitem__,
+                        _unpack_column(payload["column"], limit=COLUMN_WIRE_LIMIT),
+                    )
+                )
+                for payload, lookup in zip(groups, lookups)
+            ]
+        )
+
+    def _restore_lookups(
+        self, groups: Sequence[Dict], initials: Dict[str, int], resets: set
+    ) -> Optional[List[List[int]]]:
+        """Per group, the dense index of each occupied state a snapshot lists.
+
+        ``None`` when the snapshot grouped its specs differently.  Reset
+        specs' components are replaced by their initial states before the
+        states are materialized (``ensure_state``).
+        """
         if len(groups) != len(self.groups):
             return None
         for payload, group in zip(groups, self.groups):
             if tuple(payload["names"]) != group.names:
                 return None
-        index_columns: List[List[int]] = []
+        lookups: List[List[int]] = []
         for payload, group in zip(groups, self.groups):
             states = payload["states"]
             if resets.intersection(group.names):
@@ -1020,16 +1266,8 @@ class FusedKernel:
                     )
                     for signature in states
                 ]
-            lookup = [group.ensure_state(tuple(signature)) for signature in states]
-            index_columns.append(
-                list(
-                    map(
-                        lookup.__getitem__,
-                        _unpack_column(payload["column"], limit=COLUMN_WIRE_LIMIT),
-                    )
-                )
-            )
-        return self._columns_from_indices(index_columns)
+            lookups.append([group.ensure_state(tuple(signature)) for signature in states])
+        return lookups
 
     # ------------------------------------------------------------------ #
     # Batch checking
@@ -1238,11 +1476,13 @@ def check_columnar_shard(task: Tuple) -> Dict[str, List[bool]]:
 
 __all__ = [
     "COLUMN_WIRE_LIMIT",
+    "IDENTITY_LIMIT",
     "OBS_RESULT_KEY",
     "PRODUCT_STATE_CAP",
     "WORKER_KERNEL_CACHE_SIZE",
     "ObjectInterner",
     "EncodedBatch",
+    "Rejections",
     "ColumnarHistorySet",
     "FusedKernel",
     "make_shard_task",

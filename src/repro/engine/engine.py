@@ -33,8 +33,9 @@ Typical use::
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count
+from itertools import compress, count
 from time import perf_counter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -901,6 +902,14 @@ class StreamChecker:
     encoded (:class:`repro.engine.batch.EncodedBatch`, e.g. from the
     workload generators).
 
+    The interner's code space can hold ids the session was never fed --
+    identity-mode gaps (ids ``0`` and ``9`` make ten slots), and ids of a
+    ``reject_batch`` refusal or of a pre-encoded batch that was never fed.
+    A per-code **presence** mask, set by one scatter per applied batch,
+    records which objects some admitted event actually carried; listings
+    (:meth:`objects`, :meth:`verdicts`, :meth:`all_verdicts`), snapshots and
+    journal recovery report exactly those, int ids in ascending order.
+
     Specs are re-resolved through the engine's LRU cache on every batch, so
     compiled tables may be evicted and deterministically recompiled
     mid-stream without disturbing the session.  Re-registering a spec
@@ -919,7 +928,7 @@ class StreamChecker:
         "_columns",
         "_kernel",
         "_seen",
-        "_universe",
+        "_present",
         "_traces",
         "_trace_marks",
         "_trace_limit",
@@ -942,19 +951,23 @@ class StreamChecker:
         self._columns: List[list] = []
         self._kernel: Optional[FusedKernel] = None
         #: Per spec, the dense ids seen since that spec's last reset --
-        #: ``None`` meaning "every object fed so far" (the common case,
-        #: kept implicit so the hot path never builds per-batch id sets).
+        #: ``None`` meaning "every present object" (the common case, kept
+        #: implicit so the hot path never builds per-batch id sets).
         self._seen: Dict[str, Optional[Dict[int, None]]] = {name: None for name in names}
-        #: Dense ids below this bound have produced at least one fed event.
-        self._universe = 0
-        #: Per-object encoded event traces (``record=True`` sessions only).
-        self._traces: Optional[List[List[int]]] = [] if record else None
+        #: Per dense id, 1 iff an applied batch carried the object; codes
+        #: past the end are unfed too.
+        self._present = bytearray()
+        #: Per-object encoded event traces keyed by dense id (``record=True``
+        #: sessions only); objects never fed hold no entry, so a sparse
+        #: identity universe costs nothing here.
+        self._traces: Optional[Dict[int, List[int]]] = defaultdict(list) if record else None
         #: Per-object cap on recorded trace length (``None`` = unbounded).
         self._trace_limit = trace_limit
-        #: Per spec, the per-object trace lengths at that spec's last reset:
-        #: diagnostics replay only the trace suffix fed *after* the reset, so
-        #: ``explain`` and ``verdict`` always judge the same events.
-        self._trace_marks: Dict[str, List[int]] = {}
+        #: Per spec, the per-object trace lengths at that spec's last reset
+        #: (absent = 0): diagnostics replay only the trace suffix fed *after*
+        #: the reset, so ``explain`` and ``verdict`` always judge the same
+        #: events.
+        self._trace_marks: Dict[str, Dict[int, int]] = {}
         self.events_seen = 0
         #: Specs reset by the last snapshot restore that built this session.
         self.reset_on_restore: Tuple[str, ...] = ()
@@ -1003,7 +1016,7 @@ class StreamChecker:
         for name in reset:
             self._seen[name] = {}
             if self._traces is not None:
-                self._trace_marks[name] = [len(trace) for trace in self._traces]
+                self._trace_marks[name] = {o: len(trace) for o, trace in self._traces.items()}
         kernel.grow_columns(self._columns, len(self._interner))
         return kernel
 
@@ -1039,7 +1052,7 @@ class StreamChecker:
                 traces = self._traces
                 per: Dict[ObjectId, bool] = {}
                 for dense in moved:
-                    trace = traces[dense] if dense < len(traces) else ()
+                    trace = traces.get(dense, ())
                     per[decode_object(dense)] = spec.accepts(
                         [symbol(code) for code in trace]
                     )
@@ -1112,15 +1125,14 @@ class StreamChecker:
             obs.events_total.inc(count)
         if self._traces is not None and count:
             self._record_traces(batch)
-        if not self._names:
-            self.events_seen += count
-            return count
-        # _resolve_kernel grows the columns to the interner's current size
-        # (the encode above already interned any fresh objects).
-        kernel = self._resolve_kernel()
+        if self._names:
+            # _resolve_kernel grows the columns to the interner's current
+            # size (the encode above already interned any fresh objects).
+            kernel = self._resolve_kernel()
+            if count:
+                kernel.advance_all(self._columns, batch)
         if count:
-            kernel.advance_all(self._columns, batch)
-            self._note_seen(batch)
+            self._note_present(batch)
         self.events_seen += count
         return count
 
@@ -1128,9 +1140,6 @@ class StreamChecker:
         """Append a batch's events to the per-object traces, capped at
         ``trace_limit`` events per object (the replayable prefix)."""
         traces = self._traces
-        missing = len(self._interner) - len(traces)
-        if missing > 0:
-            traces.extend([] for _ in range(missing))
         limit = self._trace_limit
         if limit is None:
             for o, c in zip(batch.id_list, batch.code_list):
@@ -1141,14 +1150,32 @@ class StreamChecker:
                 if len(trace) < limit:
                     trace.append(c)
 
-    def _note_seen(self, batch: EncodedBatch) -> None:
-        """Fold a just-applied batch's objects into the seen/universe sets."""
+    def _note_present(self, batch: EncodedBatch, refused: Sequence[int] = ()) -> None:
+        """Mark the objects an applied batch carried as present.
+
+        One scatter into the presence mask, grown to the interner first.
+        ``refused`` lists the batch positions the enforcement gate refused:
+        those events carried nothing.  Specs reset since the session began
+        also fold the carried objects into their seen sets.
+        """
+        present = self._present
+        missing = len(self._interner) - len(present)
+        if missing > 0:
+            present.extend(bytes(missing))
+        if vector.HAVE_NUMPY:
+            carried = vector.mark_present(present, batch, refused)
+        else:
+            carried = batch.id_list
+            if len(refused):
+                skip = set(refused)
+                carried = [o for p, o in enumerate(carried) if p not in skip]
+            for o in carried:
+                present[o] = 1
         partial = [seen for seen in self._seen.values() if seen is not None]
         if partial:
-            batch_objects = dict.fromkeys(batch.id_list)
+            carried = dict.fromkeys(carried if isinstance(carried, list) else carried.tolist())
             for seen in partial:
-                seen.update(batch_objects)
-        self._universe = max(self._universe, batch.max_id + 1)
+                seen.update(carried)
 
     def _feed_enforced(self, batch: EncodedBatch, policy: str, pre_commit=None):
         """The transactional gate behind ``feed_events(..., enforce=True)``.
@@ -1175,8 +1202,10 @@ class StreamChecker:
             # Nothing to enforce against: the gate admits everything.
             if pre_commit is not None:
                 pre_commit(batch)
-            if self._traces is not None and count:
-                self._record_traces(batch)
+            if count:
+                if self._traces is not None:
+                    self._record_traces(batch)
+                self._note_present(batch)
             self.events_seen += count
             return EnforcementReport(count, (), policy)
         kernel = self._resolve_kernel()
@@ -1184,13 +1213,13 @@ class StreamChecker:
             if pre_commit is not None:
                 pre_commit(batch)
             return EnforcementReport(0, (), policy)
-        copies, raw = kernel.advance_all_enforced(self._columns, batch)
-        if raw:
-            raw.sort()  # kernel emits plan order; positions are unique
+        copies, rejected = kernel.advance_all_enforced(self._columns, batch)
+        n_rejected = len(rejected)
+        if n_rejected:
             if obs is not None:
-                obs.enforce_rejections.inc(len(raw))
+                obs.enforce_rejections.inc(n_rejected)
             if policy == "reject_batch":
-                records = self._rejection_records(kernel, batch, raw[:1])
+                records = self._rejection_records(kernel, batch, rejected.records(1))
                 raise EnforcementError(records[0], policy)
             if self._traces is None:
                 # Nothing mutable feeds the records (no trace prefixes), so
@@ -1198,33 +1227,34 @@ class StreamChecker:
                 make = self._make_rejected
 
                 def records():
-                    return [make(kernel, p, o, c, states, None) for p, o, c, states in raw]
+                    return [
+                        make(kernel, p, o, c, states, None)
+                        for p, o, c, states in rejected.records()
+                    ]
 
             else:
                 # Trace prefixes must be captured before the commit below
                 # appends this batch's admitted events to them.
-                records = self._rejection_records(kernel, batch, raw)
+                records = self._rejection_records(kernel, batch, rejected.records())
             if pre_commit is None and self._traces is None:
                 # Nothing consumes the admitted sub-batch (no WAL to append,
                 # no traces to extend), so skip assembling it: commit the
-                # screened columns and fold the *observed* batch into the
-                # seen/universe bookkeeping (its max id is already cached by
-                # the kernel).  Objects whose every event was refused are
-                # tracked at their initial state -- they were observed, and
-                # the interner holds them either way.
+                # screened columns and mark presence straight off the batch,
+                # minus the refused positions.  An object whose every event
+                # was refused is not present -- exactly as in a journaled or
+                # recording session, which only ever sees the admitted events.
                 self._columns = copies
-                n_admitted = count - len(raw)
-                self._note_seen(batch)
+                n_admitted = count - n_rejected
+                self._note_present(batch, rejected.positions)
                 self.events_seen += n_admitted
-                return EnforcementReport(n_admitted, records, policy, rejections=len(raw))
+                return EnforcementReport(n_admitted, records, policy, rejections=n_rejected)
             # Assemble the admitted sub-batch from the runs between rejected
-            # positions (raw is position-sorted): slice-extends keep this
+            # positions (position-sorted): slice-extends keep this
             # O(#rejections) list operations, not O(#events) Python steps.
             id_list, code_list = batch.id_list, batch.code_list
             admitted_ids, admitted_codes = [], []
             previous = 0
-            for r in raw:
-                p = r[0]
+            for p in rejected.positions:
                 admitted_ids.extend(id_list[previous:p])
                 admitted_codes.extend(code_list[previous:p])
                 previous = p + 1
@@ -1243,13 +1273,13 @@ class StreamChecker:
         if pre_commit is not None:
             pre_commit(admitted)
         self._columns = copies
-        n_admitted = len(admitted.id_list)
+        n_admitted = len(admitted)
         if n_admitted:
             if self._traces is not None:
                 self._record_traces(admitted)
-            self._note_seen(admitted)
+            self._note_present(admitted)
         self.events_seen += n_admitted
-        return EnforcementReport(n_admitted, records, policy, rejections=len(raw))
+        return EnforcementReport(n_admitted, records, policy, rejections=n_rejected)
 
     def _rejection_records(self, kernel, batch: EncodedBatch, raw) -> List[RejectedEvent]:
         """Build :class:`RejectedEvent` records for screened-out events.
@@ -1275,8 +1305,7 @@ class StreamChecker:
             if r is None:
                 inbatch.setdefault(o, []).append(c)
                 continue
-            base = traces[o] if o < len(traces) else ()
-            codes = tuple(base) + tuple(inbatch.get(o, ())) + (c,)
+            codes = tuple(traces.get(o, ())) + tuple(inbatch.get(o, ())) + (c,)
             records.append(self._make_rejected(kernel, *r, codes))
             remaining -= 1
             if not remaining:
@@ -1297,7 +1326,7 @@ class StreamChecker:
                 blocked = kernel.blocking_specs(states, c)
                 spec_name = blocked[0] if blocked else names[0]
                 mark = marks.get(spec_name)
-                start = mark[o] if mark is not None and o < len(mark) else 0
+                start = mark.get(o, 0) if mark is not None else 0
                 symbol = engine.alphabet.symbol
                 history = tuple(symbol(code) for code in codes[start:])
                 return engine.explain(spec_name, history, object_id=object_id)
@@ -1336,12 +1365,23 @@ class StreamChecker:
         return bool(kernel.groups[group_index].spec_doomed[j][state])
 
     def _seen_codes(self, name: str) -> Iterable[int]:
-        """The dense ids tracked for one spec (``range`` when never reset)."""
+        """The dense ids tracked for one spec: the present ones, ascending,
+        unless the spec was reset (then those seen since, in first-seen
+        order).  A ``range`` when every interned slot is present."""
         seen = self._seen[name]
-        return range(self._universe) if seen is None else seen
+        if seen is not None:
+            return seen
+        present = self._present
+        if not present.count(0):
+            return range(len(present))
+        return list(compress(range(len(present)), present))
 
     def objects(self, name: Optional[str] = None) -> Tuple[ObjectId, ...]:
-        """The objects observed so far (for one spec, or the first)."""
+        """The objects fed so far (for one spec, or the first).
+
+        Only objects some admitted event carried are listed; int ids come in
+        ascending order, other ids in order of first sight.
+        """
         selected = name if name is not None else self._names[0]
         return tuple(map(self._interner.object, self._seen_codes(selected)))
 
@@ -1379,11 +1419,9 @@ class StreamChecker:
                 "this stream does not record histories; open it with "
                 "open_stream(names, record=True) or pass history= to explain()"
             )
-        dense = self._interner.code_of(object_id)
-        if not (0 <= dense < len(self._traces)):
-            return ()
+        trace = self._traces.get(self._interner.code_of(object_id), ())
         symbol = self._engine.alphabet.symbol
-        return tuple(symbol(code) for code in self._traces[dense])
+        return tuple(symbol(code) for code in trace)
 
     def _spec_history(self, name: str, object_id: ObjectId) -> Tuple[Symbol, ...]:
         """The recorded trace suffix one spec's cursor has actually consumed.
@@ -1399,11 +1437,9 @@ class StreamChecker:
                 "open_stream(names, record=True) or pass history= to explain()"
             )
         dense = self._interner.code_of(object_id)
-        if not (0 <= dense < len(self._traces)):
-            return ()
-        trace = self._traces[dense]
+        trace = self._traces.get(dense, ())
         marks = self._trace_marks.get(name)
-        start = marks[dense] if marks is not None and dense < len(marks) else 0
+        start = marks.get(dense, 0) if marks is not None else 0
         symbol = self._engine.alphabet.symbol
         return tuple(symbol(code) for code in trace[start:])
 

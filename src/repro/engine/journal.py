@@ -65,6 +65,7 @@ import struct
 import zlib
 from typing import Dict, List, Optional, Tuple
 
+from repro.engine import vector
 from repro.engine.batch import (
     COLUMN_WIRE_LIMIT,
     EncodedBatch,
@@ -117,6 +118,21 @@ def _listed_seqs(directory: str, prefix: str, suffix: str) -> List[int]:
 
 def _frame_record(rtype: int, body: bytes) -> bytes:
     return _FRAME.pack(len(body), zlib.crc32(body), rtype) + body
+
+
+def _wire_column(column, bound: int) -> Tuple[str, int, bytes]:
+    """An ``array('q')`` of ints below ``bound`` as raw narrowest-typecode bytes.
+
+    The bound -- the id space or the alphabet size, both known -- stands in
+    for a max() scan, and numpy narrows at memcpy speed; without numpy the
+    int64 bytes ship as they are.  No zlib: WAL records only live until the
+    next checkpoint prunes them.  The tuple shape is ``_pack_column``'s, so
+    replay decodes any typecode through ``_unpack_column`` and its bounds.
+    """
+    if not vector.HAVE_NUMPY or bound > 1 << 32:
+        return ("q", 0, column.tobytes())
+    typecode = "B" if bound <= 1 << 8 else ("H" if bound <= 1 << 16 else "I")
+    return (typecode, 0, vector.np.frombuffer(column, vector.np.int64).astype(typecode).tobytes())
 
 
 def _decode_body(body: bytes):
@@ -311,18 +327,13 @@ class DurableStream:
                 "objects": interner.tail(self._objects_recorded),
                 "objects_before": self._objects_recorded,
                 "count": len(batch),
-                # Raw int64 columns, not `_pack_column`: WAL records only
-                # live until the next checkpoint prunes them, so narrowing
-                # and zlib would buy disk nobody keeps while costing a
-                # max() scan plus a re-encode per batch on the hot append
-                # path (the E27 overhead gate).  `batch.ids`/`batch.codes`
-                # are the cached ``array('q')`` views the vectorized kernel
-                # is about to build anyway -- materializing them here is
-                # amortized, and ``tobytes`` is a flat memcpy.  The tuple
-                # shape matches `_pack_column`, so replay still goes
-                # through `_unpack_column` with its decode bounds.
-                "ids": ("q", 0, batch.ids.tobytes()),
-                "codes": ("q", 0, batch.codes.tobytes()),
+                # `batch.ids`/`batch.codes` are the cached ``array('q')``
+                # columns the vectorized kernel is about to use anyway;
+                # narrowing them by their known bounds cuts every copy,
+                # the CRC and the page-cache traffic a checkpoint's fsync
+                # later flushes (the E27 overhead gate).
+                "ids": _wire_column(batch.ids, len(interner)),
+                "codes": _wire_column(batch.codes, len(alphabet)),
             },
             protocol=4,
         )

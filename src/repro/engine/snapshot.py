@@ -11,14 +11,18 @@ Wire format (version 2)::
     b"RSNP"  ·  >H format version  ·  >Q body length  ·  >I body crc32  ·  pickled body
 
 The body holds the object interner, per-spec ``(generation, fingerprint)``
-pairs, the shared-alphabet version, per-group state payloads, and -- when
-the session records histories for diagnostics -- the encoded traces, the
-symbol table needed to re-encode them elsewhere, and the per-spec reset
-marks that keep ``explain`` aligned with the verdicts.  Group payloads are
-compact: the *occupied* product states are listed once as per-spec
-component tuples, and the per-object column ships as narrow-dtype
-zlib-compressed indices into that list (:func:`repro.engine.batch.
-_pack_column`), so 10⁵ objects cost a few KB, not a pickle of 10⁵ rows.
+pairs, the shared-alphabet version, per-group state payloads, the session's
+presence -- which interned objects some applied batch carried: every code
+below ``universe`` except the ``absent`` list, which is empty unless the
+interner holds unfed ids (bodies written before ``absent`` existed omit it,
+and their every code below ``universe`` was fed) -- and, when the session
+records histories for diagnostics, the encoded traces, the symbol table
+needed to re-encode them elsewhere, and the per-spec reset marks that keep
+``explain`` aligned with the verdicts.  Group payloads are compact: the
+*occupied* product states are listed once as per-spec component tuples,
+and the per-object column ships as narrow-dtype zlib-compressed indices
+into that list (:func:`repro.engine.batch._pack_column`), so 10⁵ objects
+cost a few KB, not a pickle of 10⁵ rows.
 
 Restore validates, never trusts:
 
@@ -81,6 +85,7 @@ import struct
 import zlib
 from typing import Dict, List, Tuple
 
+from repro.engine import vector
 from repro.engine.batch import COLUMN_WIRE_LIMIT as _COLUMN_LIMIT
 from repro.engine.batch import ObjectInterner, _pack_column, _unpack_column
 
@@ -158,26 +163,34 @@ def dump_stream(stream) -> bytes:
     }
     traces = None
     if stream._traces is not None:
-        lengths = [len(trace) for trace in stream._traces]
+        recorded = stream._traces
+        lengths = [0] * (max(recorded, default=-1) + 1)
         flat: List[int] = []
-        for trace in stream._traces:
+        for code in sorted(recorded):
+            trace = recorded[code]
+            lengths[code] = len(trace)
             flat.extend(trace)
         traces = {
             "symbols": list(engine.alphabet),
             "lengths": _pack_column(lengths),
             "codes": _pack_column(flat),
             "marks": {
-                name: _pack_column(marks) for name, marks in stream._trace_marks.items()
+                name: _pack_column(_mark_column(marks))
+                for name, marks in stream._trace_marks.items()
             },
             "limit": stream._trace_limit,
         }
+    # Presence ships as the never-fed codes below the last fed one --
+    # usually few or none -- rather than a flag per object.
+    universe = stream._present.rfind(1) + 1
     body = {
         "names": stream._names,
         "specs": specs,
         "alphabet_version": engine.alphabet.version,
         "objects": stream._interner.to_snapshot(),
         "events_seen": stream.events_seen,
-        "universe": stream._universe,
+        "universe": universe,
+        "absent": _unfed_codes(stream._present, universe),
         "seen": {
             name: (None if seen is None else list(seen)) for name, seen in stream._seen.items()
         },
@@ -190,6 +203,33 @@ def dump_stream(stream) -> bytes:
     if obs is not None:
         obs.snapshot_dump_bytes.inc(len(blob))
     return blob
+
+
+def _unfed_codes(present: bytearray, universe: int) -> List[int]:
+    """The codes below ``universe`` whose presence flag is 0, scanned at C
+    speed: one numpy pass, or (without numpy) one ``find`` per gap."""
+    if vector.HAVE_NUMPY:
+        flags = vector.np.frombuffer(present, dtype=vector.np.uint8, count=universe)
+        return vector.np.flatnonzero(flags == 0).tolist()
+    unfed: List[int] = []
+    code = present.find(0, 0, universe)
+    while code >= 0:
+        unfed.append(code)
+        code = present.find(0, code + 1, universe)
+    return unfed
+
+
+def _mark_column(marks: Dict[int, int]) -> List[int]:
+    """A reset-mark dict as the per-code column the wire carries (0 = unset)."""
+    column = [0] * (max(marks, default=-1) + 1)
+    for code, mark in marks.items():
+        column[code] = mark
+    return column
+
+
+def _mark_dict(column: List[int]) -> Dict[int, int]:
+    """Inverse of :func:`_mark_column`."""
+    return {code: mark for code, mark in enumerate(column) if mark}
 
 
 def _parse(blob: bytes) -> Dict:
@@ -318,7 +358,14 @@ def _rebuild(engine, body: Dict, names: Tuple[str, ...]):
         else (None if seen[name] is None else dict.fromkeys(seen[name]))
         for name in names
     }
-    stream._universe = body["universe"]
+    universe = body["universe"]
+    absent = body.get("absent", ())
+    if not 0 <= universe <= n_objects or not all(0 <= code < universe for code in absent):
+        raise SnapshotError("corrupt stream snapshot: presence outside the object-id space")
+    present = bytearray(b"\x01") * universe
+    for code in absent:
+        present[code] = 0
+    stream._present = present
     stream.events_seen = body["events_seen"]
     if body["traces"] is not None:
         traces = body["traces"]
@@ -331,28 +378,30 @@ def _rebuild(engine, body: Dict, names: Tuple[str, ...]):
         recode = [alphabet.intern(symbol) for symbol in traces["symbols"]]
         lengths = _unpack_column(traces["lengths"], limit=_COLUMN_LIMIT)
         flat = _unpack_column(traces["codes"], limit=_COLUMN_LIMIT)
-        rebuilt = []
+        if len(lengths) > n_objects:
+            raise SnapshotError("corrupt stream snapshot: more traces than objects")
+        rebuilt = stream._traces
         position = 0
         try:
-            for length in lengths:
-                rebuilt.append(list(map(recode.__getitem__, flat[position : position + length])))
-                position += length
+            for code, length in enumerate(lengths):
+                if length:
+                    rebuilt[code] = list(
+                        map(recode.__getitem__, flat[position : position + length])
+                    )
+                    position += length
         except IndexError:
             raise SnapshotError(
                 "corrupt stream snapshot: a trace code points outside the recorded "
                 "symbol table"
             ) from None
-        while len(rebuilt) < n_objects:
-            rebuilt.append([])
-        stream._traces = rebuilt
         stream._trace_marks = {
-            name: _unpack_column(packed, limit=_COLUMN_LIMIT)
+            name: _mark_dict(_unpack_column(packed, limit=_COLUMN_LIMIT))
             for name, packed in traces["marks"].items()
         }
         for name in resets:
             # The reset spec's cursors restarted at restore time: diagnostics
             # must not re-judge events the verdict machinery has forgotten.
-            stream._trace_marks[name] = [len(trace) for trace in rebuilt]
+            stream._trace_marks[name] = {code: len(trace) for code, trace in rebuilt.items()}
         stream._trace_limit = traces.get("limit")
     stream.reset_on_restore = resets
     return stream

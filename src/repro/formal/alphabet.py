@@ -122,18 +122,24 @@ class RoleSetAlphabet:
         return len(self._symbols)
 
     def encode_column(self, column: Sequence[Symbol]) -> List[int]:
-        """Intern a whole event column in two C-speed passes.
+        """Intern a whole event column, mapping it at C speed.
 
-        Unseen symbols are interned first (one pass over the *distinct*
-        symbols), then the column is mapped through the code table with
-        :func:`map`, avoiding a per-event interpreted loop.  This is the
-        encode-once primitive of the columnar event pipeline.
+        The column is mapped through the code table with :func:`map` first:
+        once a stream's symbols are known -- its steady state -- that single
+        pass is the whole encode.  Only an unseen symbol falls back to
+        interning the column's distinct fresh symbols, in canonical order so
+        their codes never depend on the process hash seed, before mapping
+        again.  This is the encode-once primitive of the columnar event
+        pipeline.
         """
-        fresh = set(column).difference(self._codes)
-        if fresh:
-            for symbol in sorted(fresh, key=canonical_symbol_key):
-                self.intern(symbol)
-        return list(map(self._codes.__getitem__, column))
+        codes = self._codes
+        try:
+            return list(map(codes.__getitem__, column))
+        except KeyError:
+            pass
+        for symbol in sorted(set(column).difference(codes), key=canonical_symbol_key):
+            self.intern(symbol)
+        return list(map(codes.__getitem__, column))
 
     def symbol(self, code: int) -> Symbol:
         """The symbol carrying ``code``."""

@@ -47,8 +47,13 @@ class TestObjectInterner:
         interner = ObjectInterner()
         assert [interner.intern(i) for i in (0, 1, 2, 1)] == [0, 1, 2, 1]
         assert len(interner) == 3
-        assert interner.intern(10) == 3  # gap: leaves dense mode
-        assert interner.object(3) == 10
+        # A gap stays in identity mode: the id is its own code and the
+        # universe grows to cover it; the unfed ids 3..9 get codes too.
+        assert interner.intern(10) == 10
+        assert len(interner) == 11
+        assert interner.object(10) == 10
+        assert interner.code_of(5) == 5
+        assert interner.to_snapshot() == ("dense", 11)
 
 
 class TestEncodedBatch:

@@ -33,7 +33,13 @@ streams (spec walks, uniform noise, alien symbols) and asserts
   set: the gate's rejected event indices must equal the oracle's fatal
   indices exactly, an enforced stream must never hold a doomed object, and
   ``reject_batch`` must raise on the oracle's *first* fatal index leaving
-  the session untouched.
+  the session untouched;
+* object-interner mode transitions, over **every batch split** of short
+  streams whose int ids leave gaps and then fill them, or switch to string
+  ids mid-stream and then feed a gap id: ``objects()`` and
+  ``all_verdicts()`` must equal a dict-keyed oracle of the identity-ingest
+  contract after each batch, both on a live session and on one restored
+  from a snapshot at every batch boundary.
 
 The fused paths are pinned with ``kernel="fused"`` so they stay exercised
 even though ``kernel="auto"`` now prefers the vector kernel.  A failure
@@ -55,6 +61,7 @@ from repro.engine import (
     HistoryCursor,
     ProcessPoolBackend,
 )
+from repro.engine.batch import IDENTITY_LIMIT
 from repro.workloads import generators
 
 BASE_SEED = 0x5EED
@@ -336,6 +343,103 @@ def test_pool_and_serial_verdicts_agree(fuzz_rounds):
             engine.add_spec(first, specs[last])
             reregistered = engine.check_batch(first, histories)
             assert reregistered == expected[last], seed
+
+
+TRANSITION_CASES = 2
+TRANSITION_EVENTS = 7
+
+
+def transition_ids(events, shape, rng):
+    """``events`` with object ids remapped to force an interner-mode transition.
+
+    Objects are numbered by first appearance.  ``"gaps"``: the first half
+    take even ids from 2 on in shuffled order, leaving gaps the second half
+    fills with odd ids.  ``"switch"``: the first third take such even ids,
+    the next third string ids (identity mode ends), the rest odd ids -- gap
+    ids inside the frozen universe (1 always is) or int ids past it.
+    """
+    order = list(dict.fromkeys(object_id for object_id, _symbol in events))
+    count = len(order)
+    if shape == "gaps":
+        half = (count + 1) // 2
+        ids = rng.sample(range(2, 2 * half + 2, 2), half)
+        ids += [2 * i + 1 for i in range(count - half)]
+    else:
+        third = max(1, count // 3)
+        ids = rng.sample(range(2, 2 * third + 2, 2), third)
+        ids += [f"s{i}" for i in range(third, 2 * third)]
+        ids += [2 * i + 1 for i in range(count - 2 * third)]
+    mapping = dict(zip(order, ids))
+    return [(mapping[object_id], symbol) for object_id, symbol in events]
+
+
+def listing_oracle(dfas, events):
+    """``(objects(), all_verdicts())`` as the identity-ingest contract states
+    them: int ids of the identity universe -- frozen at the first id that is
+    not one -- ascending, then every other id in order of first sight."""
+    histories = {}
+    universe, identity = 0, True
+    for object_id, symbol in events:
+        histories.setdefault(object_id, []).append(symbol)
+        if identity and type(object_id) is int and 0 <= object_id < IDENTITY_LIMIT:
+            universe = max(universe, object_id + 1)
+        else:
+            identity = False
+    in_universe = {o for o in histories if type(o) is int and 0 <= o < universe}
+    rest = [o for o in histories if o not in in_universe]
+    verdicts = {
+        name: {o: dfa.accepts(history) for o, history in histories.items()}
+        for name, dfa in dfas.items()
+    }
+    return tuple(sorted(in_universe)) + tuple(rest), verdicts
+
+
+def _splits(count):
+    """Every way to cut ``count`` events into consecutive non-empty batches."""
+    for mask in range(1 << max(0, count - 1)):
+        cuts = [0] + [i + 1 for i in range(count - 1) if mask >> i & 1] + [count]
+        yield list(zip(cuts, cuts[1:]))
+
+
+def _transition_case(seed, shape):
+    """A short seeded stream (<= TRANSITION_EVENTS events) for one shape."""
+    specs, histories = _random_case(seed)
+    rng = random.Random(seed)
+    events = []
+    while not events:
+        chosen = [history[: rng.randrange(1, 3)] for history in rng.sample(histories, 5)]
+        events = generators.event_stream(chosen, seed)[:TRANSITION_EVENTS]
+    return specs, transition_ids(events, shape, rng)
+
+
+def _check_transition_case(seed, shape, kind):
+    specs, events = _transition_case(seed, shape)
+    dfas = {name: nfa.determinize() for name, nfa in specs.items()}
+    engine = HistoryCheckerEngine(kernel=kind)
+    _register_all(engine, specs)
+    for split in _splits(len(events)):
+        tag = (seed, shape, kind, split)
+        live = engine.open_stream()
+        chained = engine.open_stream(record=True)
+        for start, stop in split:
+            live.feed_events(events[start:stop])
+            chained.feed_events(events[start:stop])
+            expected = listing_oracle(dfas, events[:stop])
+            assert (live.objects(), live.all_verdicts()) == expected, tag
+            # Restore at every boundary and keep feeding the restored copy.
+            chained = engine.restore_stream(chained.snapshot())
+            assert (chained.objects(), chained.all_verdicts()) == expected, tag
+            for object_id in expected[0]:
+                fed = tuple(symbol for o, symbol in events[:stop] if o == object_id)
+                assert chained.history(object_id) == fed, tag
+
+
+@pytest.mark.parametrize("shape", ["gaps", "switch"])
+def test_interner_mode_transitions_agree_on_every_batch_split(shape, fuzz_rounds):
+    """Gaps filled later and mid-stream id-kind switches, every batch split."""
+    for case in range(TRANSITION_CASES * fuzz_rounds):
+        for kind in ("fused", "vector") if HAVE_NUMPY else ("fused",):
+            _check_transition_case(BASE_SEED + 20_000 + case, shape, kind)
 
 
 def test_fuzz_case_generator_is_deterministic():

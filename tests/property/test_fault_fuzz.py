@@ -9,8 +9,12 @@ durable prefix.
 * **WAL crash/recover** -- seeded durable sessions crash at a random point
   with a randomly chosen corruption (clean crash, torn segment tail,
   bit-flipped segment, corrupted newest checkpoint); recovery must land on
-  an exact event prefix, match the oracle over it, and keep streaming to
-  the same final verdicts;
+  an exact event prefix, match the oracle's objects and verdicts over it,
+  and keep streaming to the same final state.  Streams use int ids, string
+  ids, or ids that force an object-interner mode transition (gaps filled
+  later, a mid-stream switch to string ids followed by a gap id); for the
+  transition shapes, every batch split of a short stream is journaled and
+  recovered at every record boundary;
 * **snapshot wire fuzz** -- random prefixes, bit flips, garbage and
   trailing junk over real snapshot blobs must raise
   :class:`~repro.engine.snapshot.SnapshotError` or restore cleanly --
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -45,6 +50,7 @@ from repro.engine import (
     SnapshotError,
     SupervisedExecutor,
 )
+from repro.engine.journal import _segment_path, _SegmentReader
 from repro.testing.faults import (
     FaultInjector,
     FaultSpec,
@@ -54,6 +60,7 @@ from repro.testing.faults import (
     tear_file,
 )
 from repro.workloads import generators
+from test_differential_fuzz import transition_ids
 
 BASE_SEED = 0xFA17
 
@@ -107,14 +114,21 @@ def _stream_oracle(specs, events):
     return stream.all_verdicts()
 
 
+def _listing(stream):
+    return stream.objects(), stream.all_verdicts()
+
+
 # --------------------------------------------------------------------------- #
 # Suite 1: WAL crash / corrupt / recover
 # --------------------------------------------------------------------------- #
 def _run_wal_crash_case(seed, directory):
     rng = random.Random(seed)
     specs, events = _stream_case(seed)
-    if rng.random() < 0.25:
+    ids = rng.random()
+    if ids < 0.25:
         events = [(f"acct-{obj}", sym) for obj, sym in events]  # dict-mode ids
+    elif ids < 0.5:
+        events = transition_ids(events, rng.choice(["gaps", "switch"]), rng)
     batch = rng.choice([1, 3, 5, 8])
     checkpoint_every = rng.choice([None, 7, 13, 25])
     tag = f"seed={seed}"
@@ -152,18 +166,70 @@ def _run_wal_crash_case(seed, directory):
     else:
         assert fed <= cut, (tag, scenario)
     # The recovered state is exactly the oracle's at the durable prefix ...
-    assert recovered.all_verdicts() == _stream_oracle(specs, events[:fed]), (tag, scenario)
+    oracle = _engine(specs).open_stream()
+    oracle.feed_events(events[:fed])
+    assert _listing(recovered.stream) == _listing(oracle), (tag, scenario)
     # ... and the session is live: resuming the stream converges with the
     # uninterrupted run (the recovered prefix is a true prefix).
     recovered.feed_events(events[fed:])
+    oracle.feed_events(events[fed:])
     assert recovered.events_seen == len(events), (tag, scenario)
-    assert recovered.all_verdicts() == _stream_oracle(specs, events), (tag, scenario)
+    assert _listing(recovered.stream) == _listing(oracle), (tag, scenario)
     recovered.close()
 
 
 def test_wal_crash_recover_fuzz(fuzz_rounds, tmp_path):
     for case in range(WAL_CASES * fuzz_rounds):
         _run_wal_crash_case(BASE_SEED + case, str(tmp_path / f"journal-{case}"))
+
+
+TRANSITION_CASES = 2
+TRANSITION_EVENTS = 6
+
+
+def _record_ends(path):
+    """The byte offset just past each record of one journal segment."""
+    starts = [offset for _rtype, _body, offset in _SegmentReader(path).records()]
+    return starts[1:] + [os.path.getsize(path)]
+
+
+def _run_record_boundary_case(seed, shape, directory):
+    """Journal every batch split of a short transition stream; recover it at
+    every record boundary and pin the listing to the uninterrupted oracle."""
+    rng = random.Random(seed)
+    specs, events = _stream_case(seed)
+    events = transition_ids(events[:TRANSITION_EVENTS], shape, rng)
+    count = len(events)
+    for mask in range(1 << (count - 1)):
+        cuts = [0] + [i + 1 for i in range(count - 1) if mask >> i & 1] + [count]
+        journal = os.path.join(directory, f"split-{mask}")
+        durable = _engine(specs).open_durable_stream(journal, checkpoint_every=None)
+        for start, stop in zip(cuts, cuts[1:]):
+            durable.feed_events(events[start:stop])
+        durable.close()
+        segment = _segment_path(journal, 0)
+        # Record 0 is the segment header; record k + 1 carries batch k.
+        for records, end in enumerate(_record_ends(segment)):
+            crashed = os.path.join(directory, f"split-{mask}-at-{records}")
+            shutil.copytree(journal, crashed)
+            os.truncate(_segment_path(crashed, 0), end)
+            recovered = _engine(specs).recover_stream(crashed, checkpoint_every=None)
+            oracle = _engine(specs).open_stream()
+            oracle.feed_events(events[: cuts[records]])
+            tag = (seed, shape, cuts, records)
+            assert recovered.events_seen == cuts[records], tag
+            assert _listing(recovered.stream) == _listing(oracle), tag
+            recovered.close()
+
+
+@pytest.mark.parametrize("shape", ["gaps", "switch"])
+def test_wal_recovery_at_every_record_boundary_across_mode_transitions(
+    shape, fuzz_rounds, tmp_path
+):
+    for case in range(TRANSITION_CASES * fuzz_rounds):
+        directory = tmp_path / f"case-{case}"
+        directory.mkdir()
+        _run_record_boundary_case(BASE_SEED + 30_000 + case, shape, str(directory))
 
 
 # --------------------------------------------------------------------------- #
