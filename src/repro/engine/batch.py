@@ -35,10 +35,11 @@ encode boundary and when verdicts are mapped back to caller object ids.
 
 from __future__ import annotations
 
+import pickle
 import zlib
 from array import array
 from collections import OrderedDict
-from itertools import chain
+from itertools import accumulate, chain
 from numbers import Number
 from operator import index as _index
 from operator import itemgetter
@@ -85,6 +86,13 @@ _SLOT_BYTES = 8
 #: (2**24 ids; in memory at most one byte of presence mask plus one state slot
 #: per kernel group for each).
 IDENTITY_LIMIT = COLUMN_WIRE_LIMIT // _SLOT_BYTES
+
+#: Dict-mode ids per snapshot block (see :meth:`ObjectInterner.to_snapshot`).
+#: A constant, not an option: large enough that a block's pickle framing is
+#: noise beside its ids, small enough that re-pickling the open tail block
+#: costs a checkpoint about a tenth of a millisecond whatever the population,
+#: and fixed so that every session cuts its blocks at the same boundaries.
+SNAPSHOT_BLOCK = 1024
 
 
 def _int_value(object_id: ObjectId) -> int:
@@ -186,9 +194,13 @@ class ObjectInterner:
     Contract changes from the earlier initial-segment dense mode: int ids
     are their own codes across gaps (``intern(10)`` after ``0..2`` is 10,
     not 3), and a stream's ``objects()`` lists int ids in ascending order.
+
+    **Snapshots** pay for what the id space added since the last one: dict
+    ids serialize in blocks of :data:`SNAPSHOT_BLOCK`, and each completed
+    block is pickled once and kept (see :meth:`to_snapshot`).
     """
 
-    __slots__ = ("_universe", "_codes", "_objects")
+    __slots__ = ("_universe", "_codes", "_objects", "_blocks")
 
     def __init__(self) -> None:
         #: Identity codes: every code below this bound is the int id itself.
@@ -199,6 +211,9 @@ class ObjectInterner:
         #: Dict-interned ids in code order; ``_objects[i]`` has code
         #: ``_universe + i``.  Empty exactly while in identity mode.
         self._objects: List[ObjectId] = []
+        #: The pickles of the completed snapshot blocks of ``_objects``, in
+        #: order: ``_objects`` only grows, so a completed block never changes.
+        self._blocks: List[bytes] = []
 
     def __len__(self) -> int:
         return self._universe + len(self._objects)
@@ -302,16 +317,29 @@ class ObjectInterner:
         return code if code < universe else self._objects[code - universe]
 
     def to_snapshot(self) -> Tuple:
-        """The id space as a picklable pair.
+        """The id space as a picklable tuple.
 
-        Identity mode serializes as ``("dense", universe)``; dict mode as
-        ``("objects", every object in code order)``, the universe's ints
-        first -- :meth:`from_snapshot` inverts both exactly, so codes never
+        Identity mode serializes as ``("dense", universe)``.  Dict mode
+        serializes as ``("blocks", universe, blocks)``: ``blocks`` holds the
+        dict ids in code order, :data:`SNAPSHOT_BLOCK` to a block, each block
+        a pickled list (the last one may be shorter).  A completed block is
+        pickled on the first snapshot that covers it and reused by every
+        later one, so a snapshot pickles only the open tail block.
+        :meth:`from_snapshot` inverts both forms exactly, so codes never
         move across a snapshot round trip.
         """
-        if not self._objects:
+        objects = self._objects
+        if not objects:
             return ("dense", self._universe)
-        return ("objects", list(range(self._universe)) + self._objects)
+        blocks = self._blocks
+        done = len(blocks) * SNAPSHOT_BLOCK
+        while done + SNAPSHOT_BLOCK <= len(objects):
+            blocks.append(pickle.dumps(objects[done : done + SNAPSHOT_BLOCK], protocol=4))
+            done += SNAPSHOT_BLOCK
+        wire = tuple(blocks)
+        if done < len(objects):
+            wire += (pickle.dumps(objects[done:], protocol=4),)
+        return ("blocks", self._universe, wire)
 
     def tail(self, start: int) -> Tuple:
         """The id-space delta since the first ``start`` codes, as a payload.
@@ -359,22 +387,60 @@ class ObjectInterner:
 
     @classmethod
     def from_snapshot(cls, payload: Tuple) -> "ObjectInterner":
-        """Rebuild the id space serialized by :meth:`to_snapshot`."""
-        kind, data = payload
+        """Rebuild the id space serialized by :meth:`to_snapshot`.
+
+        Also reads ``("objects", every id in code order)``, the dict-mode
+        form of older snapshots.  Blocks decode through the snapshot
+        module's restricted unpickler, and the completed ones seed the block
+        cache, so the restored interner's next snapshot re-pickles none of
+        them.
+        """
+        kind = payload[0]
         interner = cls()
         if kind == "dense":
-            interner._universe = _checked_universe(data)
-        elif kind == "objects":
-            interner._objects = list(data)
-            # dict(zip(...)) builds the inverse map in C -- on a 10^5-object
-            # snapshot this is the single hottest line of a restore.
-            interner._codes = dict(zip(data, range(len(data))))
+            _kind, universe = payload
+            interner._universe = _checked_universe(universe)
+            return interner
+        if kind == "objects":
+            _kind, objects = payload
+            universe, objects = 0, list(objects)
+        elif kind == "blocks":
+            _kind, universe, blocks = payload
+            universe = _checked_universe(universe)
+            objects = _decode_blocks(blocks, interner._blocks)
         else:
             raise ValueError(f"unknown object-interner snapshot kind {kind!r}")
+        interner._universe = universe
+        interner._objects = objects
+        # dict(zip(...)) builds the inverse map in C -- on a 10^5-object
+        # snapshot this is the single hottest line of a restore.
+        interner._codes = dict(zip(objects, range(universe, universe + len(objects))))
+        if len(interner._codes) != len(interner._objects):
+            raise ValueError("an object-id snapshot lists one id twice")
         return interner
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ObjectInterner({len(self)} objects)"
+
+
+def _decode_blocks(blocks: Sequence[bytes], cache: List[bytes]) -> List[ObjectId]:
+    """The dict ids of a ``"blocks"`` snapshot, in code order.
+
+    Each block decodes through the restricted unpickler and must be a list.
+    ``cache`` receives the pickles of the leading completed blocks, so they
+    are reused as they came instead of being pickled again.
+    """
+    from repro.engine.snapshot import restricted_loads  # snapshot imports this module
+
+    objects: List[ObjectId] = []
+    for blob in blocks:
+        ids = restricted_loads(blob)
+        if type(ids) is not list:
+            raise ValueError(f"an object-id block decodes to {type(ids).__name__}, not a list")
+        if len(ids) == SNAPSHOT_BLOCK and len(objects) == len(cache) * SNAPSHOT_BLOCK:
+            cache.append(bytes(blob))
+        objects.extend(ids)
+    return objects
 
 
 def _pack_column(values: Sequence[int], compress: bool = True) -> Tuple[str, int, bytes]:
@@ -419,28 +485,36 @@ def _unpack_array(packed: Tuple[str, int, bytes], limit: Optional[int] = None) -
     return column
 
 
+def _column_forms(column: Union[List[int], array]) -> Tuple[Optional[array], Optional[List[int]]]:
+    """``(array form, list form)`` of a column, exactly one of them set."""
+    if isinstance(column, array) and column.typecode == "q":
+        return column, None
+    return None, column
+
+
 class EncodedBatch:
     """An interleaved event batch encoded once into dense integer columns.
 
     ``ids`` and ``codes`` expose the columns as ``array('q')``; the fused
     kernel sweeps the plain-list views (:attr:`id_list` /
-    :attr:`code_list`), which index faster.  The id column is built as
-    whichever of the two the encoder produced -- identity interning hands
-    over its checked ``array('q')`` copy -- and the other form is derived on
-    first use, so the vector kernel never materializes a list of ids.  A
-    batch is immutable once built and remembers the :class:`ObjectInterner`
-    that owns its id space, so streams can adopt a pre-encoded batch without
-    re-hashing anything.
+    :attr:`code_list`), which index faster.  Each column is built as
+    whichever of the two its producer made -- identity interning hands over
+    its checked ``array('q')`` copy of the ids, the vector kernel's
+    admission mask cuts both columns as arrays -- and the other form is
+    derived on first use, so array consumers (the vector kernel, the WAL)
+    never round-trip through lists.  A batch is immutable once built and
+    remembers the :class:`ObjectInterner` that owns its id space, so streams
+    can adopt a pre-encoded batch without re-hashing anything.
     """
 
     __slots__ = (
-        "code_list",
         "objects",
         "alphabet",
         "max_code",
         "_id_list",
         "_max_id",
         "_ids",
+        "_code_list",
         "_codes",
         "_np_ids",
         "_np_codes",
@@ -451,17 +525,13 @@ class EncodedBatch:
     def __init__(
         self,
         ids: Union[List[int], array],
-        code_list: List[int],
+        codes: Union[List[int], array],
         objects: ObjectInterner,
         alphabet: Optional[RoleSetAlphabet] = None,
         max_code: Optional[int] = None,
     ) -> None:
-        #: Exactly one id form is set here: an ``array('q')`` column (as
-        #: identity interning produces it) or a list.
-        column = isinstance(ids, array) and ids.typecode == "q"
-        self._ids: Optional[array] = ids if column else None
-        self._id_list: Optional[List[int]] = None if column else ids
-        self.code_list = code_list
+        self._ids, self._id_list = _column_forms(ids)
+        self._codes, self._code_list = _column_forms(codes)
         self.objects = objects
         #: The alphabet the codes were minted against (``None`` after a wire
         #: round trip); streams refuse batches from a foreign alphabet.
@@ -471,9 +541,8 @@ class EncodedBatch:
         #: gate its parent batch's bound): validation only compares it
         #: against the alphabet size, so any bound the codes provably stay
         #: under is safe and skips an O(n) scan.
-        self.max_code = max(code_list, default=-1) if max_code is None else max_code
+        self.max_code = max(codes, default=-1) if max_code is None else max_code
         self._max_id: Optional[int] = None
-        self._codes: Optional[array] = None
         #: ndarray views of the columns, the cached peel plan and (for
         #: batches with more events than their streams have objects) the
         #: distinct ids, filled by :mod:`repro.engine.vector` (a batch is
@@ -517,6 +586,13 @@ class EncodedBatch:
         return self._id_list
 
     @property
+    def code_list(self) -> List[int]:
+        """The symbol-code column as a list."""
+        if self._code_list is None:
+            self._code_list = self._codes.tolist()
+        return self._code_list
+
+    @property
     def max_id(self) -> int:
         """The largest dense object id in the batch (``-1`` when empty)."""
         if self._max_id is None:
@@ -534,7 +610,7 @@ class EncodedBatch:
     def codes(self) -> array:
         """The symbol-code column as ``array('q')``."""
         if self._codes is None:
-            self._codes = _q_array(self.code_list)
+            self._codes = _q_array(self._code_list)
         return self._codes
 
     def to_payload(self, compress: bool = True) -> Tuple:
@@ -575,13 +651,15 @@ class ColumnarHistorySet:
         code_list: List[int],
         offsets: array,
         alphabet: Optional[RoleSetAlphabet] = None,
+        max_code: Optional[int] = None,
     ) -> None:
         self.code_list = code_list
         self.offsets = offsets
         #: The alphabet the codes were minted against (``None`` after a wire
         #: round trip); the engine refuses sets from a foreign alphabet.
         self.alphabet = alphabet
-        self.max_code = max(code_list, default=-1)
+        #: An upper bound on the codes, as for :class:`EncodedBatch`.
+        self.max_code = max(code_list, default=-1) if max_code is None else max_code
         self._codes: Optional[array] = None
         #: ndarray view of the code column, filled by :mod:`repro.engine.vector`.
         self._np_codes = None
@@ -590,14 +668,14 @@ class ColumnarHistorySet:
     def from_histories(
         cls, histories: Sequence[Sequence[Symbol]], alphabet: RoleSetAlphabet
     ) -> "ColumnarHistorySet":
-        """Encode every history once against the shared alphabet."""
+        """Encode every history once against the shared alphabet.
+
+        The alphabet's size is the set's ``max_code`` bound, so no pass
+        re-scans the codes.
+        """
         code_list = alphabet.encode_column(list(chain.from_iterable(histories)))
-        offsets = array("q", bytes(8 * (len(histories) + 1)))
-        position = 0
-        for index, history in enumerate(histories):
-            position += len(history)
-            offsets[index + 1] = position
-        return cls(code_list, offsets, alphabet)
+        offsets = _q_array(list(accumulate(map(len, histories), initial=0)))
+        return cls(code_list, offsets, alphabet, max_code=len(alphabet) - 1)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -606,7 +684,7 @@ class ColumnarHistorySet:
     def codes(self) -> array:
         """The flat code column as ``array('q')``."""
         if self._codes is None:
-            self._codes = array("q", self.code_list)
+            self._codes = _q_array(self.code_list)
         return self._codes
 
     def lengths(self, start: int = 0, stop: Optional[int] = None) -> List[int]:
@@ -1035,6 +1113,25 @@ class FusedKernel:
                 for pre, row in zip(states, rows):
                     pre.append(row[-1])
         return copies, Rejections(positions, objects, codes, states)
+
+    def admitted(self, batch: EncodedBatch, rejected: Rejections) -> EncodedBatch:
+        """The events of ``batch`` the screen admitted, in batch order.
+
+        Cut from the list columns this kernel sweeps, one slice-extend per
+        run between refused positions: O(#rejections) list operations, not
+        O(#events) Python steps.
+        """
+        id_list, code_list = batch.id_list, batch.code_list
+        ids: List[int] = []
+        codes: List[int] = []
+        previous = 0
+        for p in rejected.positions:
+            ids.extend(id_list[previous:p])
+            codes.extend(code_list[previous:p])
+            previous = p + 1
+        ids.extend(id_list[previous:])
+        codes.extend(code_list[previous:])
+        return EncodedBatch(ids, codes, batch.objects, batch.alphabet, max_code=batch.max_code)
 
     def fatal_histories(
         self, code_list, lengths: Sequence[int]

@@ -1248,25 +1248,11 @@ class StreamChecker:
                 self._note_present(batch, rejected.positions)
                 self.events_seen += n_admitted
                 return EnforcementReport(n_admitted, records, policy, rejections=n_rejected)
-            # Assemble the admitted sub-batch from the runs between rejected
-            # positions (position-sorted): slice-extends keep this
-            # O(#rejections) list operations, not O(#events) Python steps.
-            id_list, code_list = batch.id_list, batch.code_list
-            admitted_ids, admitted_codes = [], []
-            previous = 0
-            for p in rejected.positions:
-                admitted_ids.extend(id_list[previous:p])
-                admitted_codes.extend(code_list[previous:p])
-                previous = p + 1
-            admitted_ids.extend(id_list[previous:])
-            admitted_codes.extend(code_list[previous:])
-            admitted = EncodedBatch(
-                admitted_ids,
-                admitted_codes,
-                self._interner,
-                batch.alphabet,
-                max_code=batch.max_code,
-            )
+            # The kernel cuts the admitted sub-batch in its native layout:
+            # list slices for the fused kernel, one boolean mask over the
+            # array columns for the vector kernel (which the WAL then writes
+            # from without a list round trip).
+            admitted = kernel.admitted(batch, rejected)
         else:
             records = []
             admitted = batch

@@ -54,11 +54,19 @@ crash -- the failure mode the chaos suite injects -- loses nothing);
 guarantee to power loss at a measurable throughput cost.  Checkpoints are
 always written tmp + fsync + ``os.replace``, so a crash mid-checkpoint
 leaves the previous generation intact.
+
+Every checkpoint -- the initial one of :func:`open_durable`,
+:meth:`DurableStream.checkpoint` and recovery's re-checkpoint -- runs in
+one order: write and fsync the tmp file, ``os.replace`` it into place,
+create the next segment, fsync the **directory**, and only then prune
+older generations.  A file's fsync makes its contents durable but not its
+name; without the directory fsync a power loss could undo the rename or
+the segment's creation, and a prune that ran first could leave no
+generation behind.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import struct
@@ -71,7 +79,7 @@ from repro.engine.batch import (
     EncodedBatch,
     _unpack_column,
 )
-from repro.engine.snapshot import SnapshotError, _RestrictedUnpickler
+from repro.engine.snapshot import SnapshotError, restricted_loads
 from repro.testing.faults import fire as _fire
 
 WAL_MAGIC = b"RWAL"
@@ -133,10 +141,6 @@ def _wire_column(column, bound: int) -> Tuple[str, int, bytes]:
         return ("q", 0, column.tobytes())
     typecode = "B" if bound <= 1 << 8 else ("H" if bound <= 1 << 16 else "I")
     return (typecode, 0, vector.np.frombuffer(column, vector.np.int64).astype(typecode).tobytes())
-
-
-def _decode_body(body: bytes):
-    return _RestrictedUnpickler(io.BytesIO(body)).load()
 
 
 class DurableStream:
@@ -352,13 +356,29 @@ class DurableStream:
         """Write a checkpoint and rotate to a fresh segment; returns its path.
 
         The snapshot is written tmp + fsync + ``os.replace`` (atomic on
-        POSIX), the journal rotates to segment ``seq + 1``, and generations
-        older than the ``retain`` newest checkpoints are pruned.
+        POSIX), the journal rotates to segment ``seq + 1``, the directory
+        is fsynced, and only then are generations older than the ``retain``
+        newest checkpoints pruned.
         """
-        next_seq = self._seq + 1
-        blob = self.stream.snapshot()
-        blob = _fire("journal.checkpoint", blob)
-        path = _checkpoint_path(self.directory, next_seq)
+        blob = _fire("journal.checkpoint", self.stream.snapshot())
+        path = self._rotate(self._seq + 1, blob)
+        self._counts["checkpoints"] += 1
+        obs = self._obs()
+        if obs is not None:
+            obs.journal_checkpoints.inc()
+        self._prune()
+        return path
+
+    def _rotate(self, seq: int, blob: bytes) -> str:
+        """Make ``blob`` checkpoint ``seq`` and start journal segment ``seq``.
+
+        The checkpoint is written tmp + fsync + ``os.replace``; then one
+        directory fsync makes the rename and the new segment's directory
+        entry durable together, so no later pruning can delete the last
+        generation a power loss would have left.  Returns the checkpoint's
+        path.
+        """
+        path = _checkpoint_path(self.directory, seq)
         tmp = path + ".tmp"
         with open(tmp, "wb") as handle:
             handle.write(blob)
@@ -369,13 +389,9 @@ class DurableStream:
         if handle is not None:
             handle.flush()
             handle.close()
-        self._seq = next_seq
+        self._seq = seq
         self._open_segment()
-        self._counts["checkpoints"] += 1
-        obs = self._obs()
-        if obs is not None:
-            obs.journal_checkpoints.inc()
-        self._prune()
+        _sync_directory(self.directory)
         return path
 
     def _prune(self) -> None:
@@ -405,6 +421,16 @@ class DurableStream:
 
     def explain(self, name: str, object_id, history=None):
         return self.stream.explain(name, object_id, history=history)
+
+
+def _sync_directory(directory: str) -> None:
+    """fsync a directory, making the entries renamed or created in it durable
+    (a file's own fsync covers its contents, not its name)."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _remove_quiet(path: str) -> None:
@@ -448,19 +474,8 @@ def open_durable(
         retain=retain,
         fsync=fsync,
     )
-    _write_checkpoint_blob(directory, 0, stream.snapshot())
-    durable._open_segment()
+    durable._rotate(0, stream.snapshot())
     return durable
-
-
-def _write_checkpoint_blob(directory: str, seq: int, blob: bytes) -> None:
-    path = _checkpoint_path(directory, seq)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 # --------------------------------------------------------------------------- #
@@ -526,7 +541,7 @@ def _replay_segment(stream, reader: _SegmentReader, seq: int, obs) -> Tuple[int,
     replayed = 0
     for rtype, body, offset in reader.records():
         try:
-            payload = _decode_body(body)
+            payload = restricted_loads(body)
             if rtype == RT_SEGMENT:
                 if recode is not None:
                     raise ValueError("segment header not first")
@@ -656,8 +671,7 @@ def recover(
     # Re-anchor under this engine's code space: the WAL's codes were the
     # crashed process's; a fresh checkpoint + segment makes every future
     # record self-consistent with the recovering engine.
-    _write_checkpoint_blob(directory, durable._seq, stream.snapshot())
-    durable._open_segment()
+    durable._rotate(durable._seq, stream.snapshot())
     durable._prune()
     return durable
 

@@ -24,6 +24,15 @@ and the per-object column ships as narrow-dtype zlib-compressed indices
 into that list (:func:`repro.engine.batch._pack_column`), so 10⁵ objects
 cost a few KB, not a pickle of 10⁵ rows.
 
+The object interner is ``("dense", universe)`` in identity mode and
+``("blocks", universe, blocks)`` in dict mode: the identity prefix as its
+size alone, then the dict ids in code order as pickled lists of
+:data:`repro.engine.batch.SNAPSHOT_BLOCK` ids (the last may be shorter).
+The interner only grows, so it pickles each completed block once and hands
+the same bytes to every later snapshot -- a checkpoint of a session pays
+for the ids it added, not for all of them.  Bodies holding the older
+``("objects", every id in code order)`` form still restore.
+
 Restore validates, never trusts:
 
 * the magic, version, body length and body CRC gate malformed blobs
@@ -38,11 +47,13 @@ Restore validates, never trusts:
   ``KeyError`` from five frames inside the rebuild (the one deliberate
   exception: a snapshot naming a spec the engine does not know raises
   ``KeyError``, an engine-configuration error rather than blob corruption);
-* the body is decoded by a **restricted unpickler**: only builtin
-  container/scalar types and classes from the ``repro`` package resolve,
-  so a crafted blob cannot smuggle a ``__reduce__`` gadget through the
-  object-id or symbol slots (object ids of foreign classes are therefore
-  not restorable -- use builtins or ``repro`` types as stream ids);
+* the body -- and each object-id block inside it -- is decoded by a
+  **restricted unpickler**: only builtin container/scalar types and
+  classes from the ``repro`` package resolve, so a crafted blob cannot
+  smuggle a ``__reduce__`` gadget through the object-id or symbol slots
+  (object ids of foreign classes are therefore not restorable -- use
+  builtins or ``repro`` types as stream ids); a block must decode to a
+  list, and restore seeds the interner's block cache from the wire blocks;
 * the recorded symbol table must match the recorded alphabet version, and
   every trace code must index into it;
 * every spec name must be registered in the restoring engine;
@@ -139,6 +150,11 @@ class _RestrictedUnpickler(pickle.Unpickler):
             f"snapshot body references {module}.{name}; only builtins and repro types "
             f"may appear in a snapshot (use such types as stream object ids)"
         )
+
+
+def restricted_loads(data: bytes):
+    """Unpickle ``data`` through :class:`_RestrictedUnpickler`."""
+    return _RestrictedUnpickler(io.BytesIO(data)).load()
 
 
 def dump_stream(stream) -> bytes:
@@ -251,7 +267,7 @@ def _parse(blob: bytes) -> Dict:
     if zlib.crc32(body) != crc:
         raise SnapshotError("corrupt stream snapshot (body checksum mismatch)")
     try:
-        decoded = _RestrictedUnpickler(io.BytesIO(body)).load()
+        decoded = restricted_loads(body)
     except SnapshotError:
         raise
     except Exception as exc:
@@ -407,4 +423,11 @@ def _rebuild(engine, body: Dict, names: Tuple[str, ...]):
     return stream
 
 
-__all__ = ["MAGIC", "FORMAT_VERSION", "SnapshotError", "dump_stream", "load_stream"]
+__all__ = [
+    "MAGIC",
+    "FORMAT_VERSION",
+    "SnapshotError",
+    "dump_stream",
+    "load_stream",
+    "restricted_loads",
+]

@@ -50,6 +50,7 @@ actually requires it.
 from __future__ import annotations
 
 import zlib
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.batch import (
@@ -122,6 +123,13 @@ def _history_code_array(history_set: ColumnarHistorySet):
 def _offset_array(history_set: ColumnarHistorySet):
     """The offsets column as an int64 ndarray view (offsets never mutate)."""
     return np.frombuffer(history_set.offsets, dtype=np.int64)
+
+
+def _q_column(values) -> array:
+    """An int64 ndarray as ``array('q')``, one buffer copy (no list)."""
+    column = array("q")
+    column.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.int64)).cast("B"))
+    return column
 
 
 def _flat_index(states, width: int, codes):
@@ -506,6 +514,19 @@ class VectorKernel(FusedKernel):
         objects = _id_array(batch)[positions]
         codes = _code_array(batch)[positions]
         return copies, Rejections(positions, objects, codes, states)
+
+    def admitted(self, batch: EncodedBatch, rejected: Rejections) -> EncodedBatch:
+        """:meth:`FusedKernel.admitted` as one boolean mask over the batch's
+        array columns; the sub-batch keeps its columns as ``array('q')``."""
+        keep = np.ones(len(batch), dtype=bool)
+        keep[rejected.positions] = False
+        return EncodedBatch(
+            _q_column(_id_array(batch)[keep]),
+            _q_column(_code_array(batch)[keep]),
+            batch.objects,
+            batch.alphabet,
+            max_code=batch.max_code,
+        )
 
     def _screen(self, tabs, copies: List, batch: EncodedBatch, refused: List[List]) -> None:
         """Run the peel plan over ``copies``, appending refusals to ``refused``."""

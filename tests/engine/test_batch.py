@@ -7,6 +7,7 @@ events (and bumps ``events_seen``) with zero registered specs, and
 """
 
 import pickle
+from array import array
 
 import pytest
 
@@ -81,6 +82,15 @@ class TestEncodedBatch:
             assert restored.id_list == batch.id_list
             assert restored.code_list == batch.code_list
 
+    def test_code_column_may_arrive_as_an_array(self):
+        alphabet = RoleSetAlphabet()
+        codes = array("q", [alphabet.intern(banking.ROLE_INTEREST), alphabet.intern(frozenset())])
+        batch = EncodedBatch(array("q", [3, 1]), codes, ObjectInterner(), alphabet)
+        assert batch.codes is codes and batch.max_code == 1
+        assert batch.code_list == [0, 1] and batch.id_list == [3, 1]
+        listed = EncodedBatch([3, 1], [0, 1], ObjectInterner(), alphabet)
+        assert listed.codes == codes and listed.codes.typecode == "q"
+
     def test_alphabet_is_append_only_across_batches(self):
         alphabet = RoleSetAlphabet()
         first = EncodedBatch.from_events([(0, banking.ROLE_INTEREST)], alphabet)
@@ -102,6 +112,19 @@ class TestColumnarHistorySet:
         assert [alphabet.symbol(code) for code in history_set.code_list[start:stop]] == list(
             histories[3]
         )
+
+    def test_encoding_bounds_codes_by_the_alphabet_without_a_scan(self):
+        alphabet = RoleSetAlphabet()
+        alphabet.intern(banking.ROLE_INTEREST)
+        alphabet.intern(frozenset({"UNUSED"}))  # a code no history carries
+        histories = [[banking.ROLE_INTEREST] * 3, [], [banking.ROLE_INTEREST]]
+        history_set = ColumnarHistorySet.from_histories(histories + [()], alphabet)
+        assert history_set.max_code == len(alphabet) - 1 > max(history_set.code_list)
+        assert list(history_set.offsets) == [0, 3, 3, 4, 4]
+        assert history_set.offsets.typecode == history_set.codes.typecode == "q"
+        assert list(history_set.codes) == history_set.code_list
+        empty = ColumnarHistorySet.from_histories([], RoleSetAlphabet())
+        assert len(empty) == 0 and list(empty.offsets) == [0] and empty.max_code == -1
 
     def test_shard_payload_round_trip(self):
         alphabet = RoleSetAlphabet()

@@ -314,6 +314,41 @@ def test_durable_enforced_feed_journals_admitted_only(tmp_path):
             assert not recovered.stream.doomed(name, object_id), (name, object_id)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_admitted_sub_batch_is_cut_in_the_kernel_layout(kind, tmp_path, monkeypatch):
+    # Both kernels journal exactly the admitted events; the vector kernel
+    # cuts them from the array columns, so the WAL writes them list-free.
+    engine, _histories, events, _names = _suite_engine(kind, seed=7)
+    durable = engine.open_durable_stream(tmp_path, checkpoint_every=None)
+    appended = []
+    append = durable._append_batch
+
+    def capture(batch):
+        append(batch)
+        appended.append(batch)
+
+    monkeypatch.setattr(durable, "_append_batch", capture)
+    interner = durable.stream.object_interner
+    refusing = 0
+    for start in range(0, len(events), 25):
+        chunk = events[start : start + 25]
+        appended.clear()
+        report = durable.feed_events(chunk, enforce=True)
+        refused = {record.index for record in report.rejected}
+        if not refused:
+            continue
+        refusing += 1
+        (batch,) = appended
+        if kind == "vector":
+            assert batch._id_list is None and batch._code_list is None
+        journaled = [
+            (interner.object(o), engine.alphabet.symbol(c)) for o, c in zip(batch.ids, batch.codes)
+        ]
+        assert journaled == [event for p, event in enumerate(chunk) if p not in refused]
+    assert refusing
+    durable.close()
+
+
 def test_durable_reject_batch_leaves_wal_untouched(tmp_path):
     engine, histories, events, names = _suite_engine(seed=7)
     half = len(events) // 2

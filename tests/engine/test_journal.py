@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+import stat
 
 import pytest
 
@@ -157,6 +158,57 @@ def test_manual_checkpoint_returns_the_snapshot_path(tmp_path):
     durable.close()
     recovered = _engine(specs).recover_stream(tmp_path)
     assert recovered.events_seen == len(events) + 4
+
+
+def test_each_checkpoint_syncs_the_directory_after_its_rename_and_before_pruning(
+    tmp_path, monkeypatch
+):
+    # Until the directory is fsynced, a power loss can undo a rename or a
+    # file creation; pruning first could leave no checkpoint generation.
+    directory = str(tmp_path)
+    calls = []
+    real_replace, real_fsync, real_remove = os.replace, os.fsync, os.remove
+
+    def replace(source, target):
+        real_replace(source, target)
+        calls.append(("replace", os.path.basename(target)))
+
+    def fsync(fd):
+        real_fsync(fd)
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            calls.append(("sync", frozenset(os.listdir(directory))))
+
+    def remove(path):
+        real_remove(path)
+        calls.append(("remove", os.path.basename(path)))
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "remove", remove)
+    specs, events = _case(6, objects=12)
+    durable = _engine(specs).open_durable_stream(tmp_path, checkpoint_every=None, retain=1)
+    for start in range(0, 30, 10):
+        _feed_batches(durable, events[start : start + 10])
+        durable.checkpoint()
+    durable.close()
+    recovered = _engine(specs).recover_stream(tmp_path, checkpoint_every=None, retain=1)
+    # open_durable (seq 0), three checkpoints (1-3), the recovery's re-anchor (4).
+    groups = []
+    for call in calls:
+        if call[0] == "replace":
+            groups.append([])
+        groups[-1].append(call)
+    assert len(groups) == 5
+    for seq, group in enumerate(groups):
+        checkpoint, segment = f"ckpt-{seq:010d}.snap", f"wal-{seq:010d}.log"
+        assert group[0] == ("replace", checkpoint)
+        assert group[1][0] == "sync" and {checkpoint, segment} <= group[1][1]
+        removed = group[2:]
+        assert all(kind == "remove" for kind, _name in removed)
+        expected = set() if seq == 0 else {f"ckpt-{seq - 1:010d}.snap", f"wal-{seq - 1:010d}.log"}
+        assert {name for _kind, name in removed} == expected
+    assert recovered.events_seen == 30
+    recovered.close()
 
 
 # --------------------------------------------------------------------------- #

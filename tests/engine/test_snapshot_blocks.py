@@ -1,0 +1,242 @@
+"""Dict-mode object ids snapshot in fixed-size blocks, each pickled once.
+
+The contract under test:
+
+* a dict-mode :class:`~repro.engine.batch.ObjectInterner` serializes as
+  ``("blocks", universe, blocks)``: its dict ids in code order,
+  :data:`~repro.engine.batch.SNAPSHOT_BLOCK` to a pickled block, the
+  identity prefix as its size alone;
+* a completed block is pickled once and reused by every later snapshot, and
+  restore seeds that cache from the wire blocks, so a checkpoint pickles
+  only the open tail block;
+* snapshot -> restore -> snapshot reproduces the body at and around block
+  boundaries, after an identity prefix, while a session grows and for
+  recording sessions;
+* bodies in the older ``("objects", every id)`` form still restore;
+* a block that decodes to anything but a list, or names a class outside
+  builtins and ``repro``, is corruption (:class:`SnapshotError`).
+"""
+
+from __future__ import annotations
+
+import decimal
+import pickle
+import zlib
+
+import pytest
+
+from repro.engine import HAVE_NUMPY, HistoryCheckerEngine, SnapshotError
+from repro.engine import snapshot as snapshot_wire
+from repro.engine.batch import SNAPSHOT_BLOCK
+from repro.workloads import banking
+
+KINDS = ("fused", "vector") if HAVE_NUMPY else ("fused",)
+
+OPEN = banking.ROLE_INTEREST
+CLOSE = banking.EMPTY_ROLE_SET
+
+
+def _engine(kind="fused"):
+    engine = HistoryCheckerEngine(kernel=kind)
+    engine.add_spec("checking", banking.checking_role_inventory())
+    return engine
+
+
+def _events(keys):
+    """Two events for every third key, one for the rest."""
+    events = [(key, OPEN) for key in keys]
+    events += [(key, CLOSE) for key in keys[::3]]
+    return events
+
+
+def _body(blob):
+    return pickle.loads(blob[len(snapshot_wire.MAGIC) + snapshot_wire._HEADER.size :])
+
+
+def _reframed(blob, edit):
+    """``blob`` with its body rewritten by ``edit`` (header and CRC redone)."""
+    body = _body(blob)
+    edit(body)
+    payload = pickle.dumps(body, protocol=4)
+    header = snapshot_wire._HEADER.pack(
+        snapshot_wire.FORMAT_VERSION, len(payload), zlib.crc32(payload)
+    )
+    return snapshot_wire.MAGIC + header + payload
+
+
+def _decoded(blocks):
+    return [o for block in blocks for o in snapshot_wire.restricted_loads(block)]
+
+
+def _same_session(restored, stream):
+    assert restored.objects() == stream.objects()
+    assert restored.all_verdicts() == stream.all_verdicts()
+    assert restored.events_seen == stream.events_seen
+
+
+# --------------------------------------------------------------------------- #
+# Round trips
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "count", [SNAPSHOT_BLOCK - 1, SNAPSHOT_BLOCK, SNAPSHOT_BLOCK + 1, 2 * SNAPSHOT_BLOCK + 1]
+)
+def test_round_trip_at_block_boundaries(kind, count):
+    engine = _engine(kind)
+    stream = engine.open_stream()
+    keys = [f"acct-{index}" for index in range(count)]
+    stream.feed_events(_events(keys))
+    blob = stream.snapshot()
+    kind_tag, universe, blocks = _body(blob)["objects"]
+    assert (kind_tag, universe) == ("blocks", 0)
+    full, tail = divmod(count, SNAPSHOT_BLOCK)
+    sizes = [len(snapshot_wire.restricted_loads(block)) for block in blocks]
+    assert sizes == [SNAPSHOT_BLOCK] * full + ([tail] if tail else [])
+    assert _decoded(blocks) == keys
+    restored = engine.restore_stream(blob)
+    _same_session(restored, stream)
+    # The completed blocks came off the wire into the cache as they were.
+    assert restored.object_interner._blocks == list(blocks[:full])
+    assert _body(restored.snapshot()) == _body(blob)
+    # Both sessions stay in step once they grow past the restored blocks.
+    more = _events([f"late-{index}" for index in range(SNAPSHOT_BLOCK // 2)] + keys[:5])
+    stream.feed_events(more)
+    restored.feed_events(more)
+    _same_session(restored, stream)
+    assert _body(restored.snapshot()) == _body(stream.snapshot())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_identity_prefix_then_string_ids_lists_no_range(kind):
+    engine = _engine(kind)
+    stream = engine.open_stream()
+    stream.feed_events([(0, OPEN), (7, OPEN), (3, OPEN)])
+    keys = [f"acct-{index}" for index in range(SNAPSHOT_BLOCK + 5)]
+    stream.feed_events(_events(keys) + [(5, OPEN), (10**9, OPEN)])
+    _kind, universe, blocks = stream.object_interner.to_snapshot()
+    # The identity prefix ships as its size; a gap id (5) keeps its own code.
+    assert universe == 8 and _decoded(blocks) == keys + [10**9]
+    blob = stream.snapshot()
+    restored = engine.restore_stream(blob)
+    _same_session(restored, stream)
+    assert restored.object_interner.code_of(5) == 5
+    assert restored.object_interner.code_of(10**9) == 8 + len(keys)
+    assert _body(restored.snapshot()) == _body(blob)
+
+
+def test_repeated_snapshots_pickle_only_the_open_tail_block(monkeypatch):
+    engine = _engine()
+    stream = engine.open_stream()
+    pickled = []
+    dumps = pickle.dumps
+
+    def counting(obj, *args, **kwargs):
+        if type(obj) is list:  # an id block; the body itself is a dict
+            pickled.append(len(obj))
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "dumps", counting)
+    step = 700
+    previous = None
+    for round_ in range(6):
+        keys = [f"r{round_}-{index}" for index in range(step)]
+        stream.feed_events(_events(keys))
+        pickled.clear()
+        _kind, _universe, blocks = stream.object_interner.to_snapshot()
+        count = step * (round_ + 1)
+        done_before = 0 if previous is None else step * round_ // SNAPSHOT_BLOCK
+        fresh = count // SNAPSHOT_BLOCK - done_before
+        tail = [count % SNAPSHOT_BLOCK] if count % SNAPSHOT_BLOCK else []
+        assert pickled == [SNAPSHOT_BLOCK] * fresh + tail, round_
+        if previous is not None:
+            # Completed blocks are the very same cached bytes objects.
+            assert all(a is b for a, b in zip(blocks[:done_before], previous))
+        previous = blocks
+    # A restored session re-pickles none of the blocks it was sent.
+    restored = engine.restore_stream(stream.snapshot())
+    pickled.clear()
+    restored.snapshot()
+    assert pickled == [(step * 6) % SNAPSHOT_BLOCK]
+
+
+def test_repeated_checkpoints_while_the_session_grows_recover(tmp_path):
+    engine = _engine()
+    durable = engine.open_durable_stream(tmp_path, checkpoint_every=None)
+    for round_ in range(5):
+        keys = [f"r{round_}-{index}" for index in range(450)]
+        durable.feed_events(_events(keys), enforce=True)
+        durable.checkpoint()
+        # Re-feeding a known id and a new one lands in the next segment.
+        durable.feed_events([(keys[0], OPEN), (f"solo-{round_}", OPEN)], enforce=True)
+    live = durable.stream
+    durable.close()
+    recovered = _engine().recover_stream(tmp_path)
+    _same_session(recovered.stream, live)
+    recovered.close()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_recording_session_round_trip(kind):
+    engine = _engine(kind)
+    stream = engine.open_stream(record=True)
+    keys = [f"acct-{index}" for index in range(SNAPSHOT_BLOCK + 3)]
+    stream.feed_events(_events(keys))
+    blob = stream.snapshot()
+    restored = engine.restore_stream(blob)
+    _same_session(restored, stream)
+    for key in (keys[0], keys[SNAPSHOT_BLOCK], keys[-1]):
+        assert restored.history(key) == stream.history(key)
+    assert _body(restored.snapshot()) == _body(blob)
+
+
+# --------------------------------------------------------------------------- #
+# Older bodies
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("prefix", [0, 4])
+def test_bodies_in_the_objects_form_still_restore(prefix):
+    engine = _engine()
+    stream = engine.open_stream()
+    stream.feed_events([(index, OPEN) for index in range(prefix)])
+    stream.feed_events(_events([f"acct-{index}" for index in range(SNAPSHOT_BLOCK + 2)]))
+
+    def as_objects_form(body):
+        kind, universe, blocks = body["objects"]
+        body["objects"] = ("objects", list(range(universe)) + _decoded(blocks))
+
+    restored = engine.restore_stream(_reframed(stream.snapshot(), as_objects_form))
+    _same_session(restored, stream)
+    late = [("late", OPEN), ("acct-3", CLOSE), (prefix + 1, OPEN)]
+    stream.feed_events(late)
+    restored.feed_events(late)
+    _same_session(restored, stream)
+
+
+# --------------------------------------------------------------------------- #
+# Corrupt blocks
+# --------------------------------------------------------------------------- #
+def _blocks(*blocks, universe=0):
+    def edit(body):
+        body["objects"] = ("blocks", universe, blocks)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _blocks(pickle.dumps(("acct-0", "acct-1"))),  # a tuple, not a list
+        _blocks(pickle.dumps({"acct-0": 0})),
+        _blocks(pickle.dumps(["acct-0"]), pickle.dumps("acct-1")),
+        _blocks(pickle.dumps([decimal.Decimal("1.5")])),  # a class outside builtins/repro
+        _blocks(b"not a pickle"),
+        _blocks(7),
+        _blocks(pickle.dumps(["acct-0"]), pickle.dumps(["acct-0"])),  # one id twice
+        _blocks(pickle.dumps(["acct-0"]), universe=-1),
+    ],
+)
+def test_corrupt_blocks_raise_snapshot_error(edit):
+    engine = _engine()
+    stream = engine.open_stream()
+    stream.feed_events(_events(["acct-0", "acct-1"]))
+    with pytest.raises(SnapshotError):
+        engine.restore_stream(_reframed(stream.snapshot(), edit))
