@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.core.sl_analysis import SLMigrationAnalysis
-from repro.engine import HistoryCheckerEngine, ProcessPoolBackend, compile_spec
+from repro.engine import HistoryCheckerEngine, compile_spec
 from repro.formal import lazy
 from repro.formal import operations as ops
 from repro.workloads import banking, generators, university
@@ -86,7 +86,7 @@ def test_e20_streaming_beats_naive_accepts_reruns(
 @pytest.mark.parametrize("objects", [10_000, 100_000])
 def test_e20_batch_checking_scales(benchmark, run_once, objects):
     histories, _ = generators.banking_event_stream(seed=7, objects=objects, mean_length=10)
-    engine = HistoryCheckerEngine(batch_size=4096)
+    engine = HistoryCheckerEngine()
     engine.add_spec("checking", banking.checking_role_inventory())
     engine.compiled("checking")
 
@@ -97,26 +97,6 @@ def test_e20_batch_checking_scales(benchmark, run_once, objects):
     spec = engine.compiled("checking")
     sample = range(0, objects, max(1, objects // 200))
     assert all(verdicts[index] == spec.accepts(histories[index]) for index in sample)
-
-
-def test_e20_process_pool_matches_serial(run_once, benchmark, banking_stream_200k, checking_engine):
-    histories, _ = banking_stream_200k
-    engine = checking_engine
-
-    start = time.perf_counter()
-    serial = engine.check_batch("checking", histories)
-    serial_elapsed = time.perf_counter() - start
-
-    with ProcessPoolBackend(max_workers=2) as pool:
-        start = time.perf_counter()
-        parallel = run_once(benchmark, engine.check_batch, "checking", histories, executor=pool)
-        pool_elapsed = time.perf_counter() - start
-
-    print(
-        f"\n[E20] executors over {len(histories)} histories: "
-        f"serial {serial_elapsed * 1000:.0f}ms, process-pool(2) {pool_elapsed * 1000:.0f}ms"
-    )
-    assert parallel == serial
 
 
 def test_e20_spec_cache_churn(benchmark, run_once, banking_stream_200k):

@@ -2,9 +2,8 @@
 
 The PR-2 engine re-paid a representation tax on every sweep: each spec
 re-hashed every event's frozenset role set through its own ``codes`` dict,
-object ids lived in per-spec dicts, and process-pool shards shipped pickled
-``CompiledSpec`` objects plus raw frozenset histories.  This module makes a
-*columnar* encoding the engine's native interchange format instead:
+and object ids lived in per-spec dicts.  This module makes a *columnar*
+encoding the engine's native interchange format instead:
 
 * :class:`ObjectInterner` -- object ids become dense integers (with an
   identity fast path for workload streams whose ids are already dense);
@@ -12,7 +11,7 @@ object ids lived in per-spec dicts, and process-pool shards shipped pickled
   against the engine's shared :class:`repro.formal.alphabet.RoleSetAlphabet`
   into ``array('q')`` id/code columns;
 * :class:`ColumnarHistorySet` -- whole-history batches as one flat code
-  column plus offsets, the unit of shard dispatch;
+  column plus offsets, the unit of batch checking;
 * :class:`FusedKernel` -- the multi-spec kernel.  Registered specs are
   fused into the reachable *product* automaton (greedily packed into groups
   under a state cap), whose states are Python lists holding direct
@@ -23,11 +22,6 @@ object ids lived in per-spec dicts, and process-pool shards shipped pickled
   collapse onto one absorbing sink row, and a population that has fully
   reached the sink lets the whole group skip subsequent batches
   (the doomed-population early exit).
-* shard dispatch -- :func:`check_columnar_shard` plus the payload helpers
-  ship narrow-dtype, optionally zlib-compressed column bytes and compact
-  frozenset-free spec blobs (:meth:`CompiledSpec.to_blob`), resolved through
-  a worker-local kernel cache keyed by ``(name, generation)`` and the shared
-  alphabet version, instead of pickling tables and frozensets per shard.
 
 Everything here runs on plain ints and lists; symbols appear only at the
 encode boundary and when verdicts are mapped back to caller object ids.
@@ -38,17 +32,14 @@ from __future__ import annotations
 import pickle
 import zlib
 from array import array
-from collections import OrderedDict
 from itertools import accumulate, chain
 from numbers import Number
 from operator import index as _index
 from operator import itemgetter
-from time import perf_counter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.compiler import CompiledSpec
 from repro.formal.alphabet import RoleSetAlphabet
-from repro.testing.faults import fire as _fire
 
 try:  # numpy only speeds up the one max an identity-mode id column needs
     import numpy as _np
@@ -65,8 +56,8 @@ Event = Tuple[ObjectId, Symbol]
 #: product (they fall back to smaller groups, down to one spec per group).
 PRODUCT_STATE_CAP = 20_000
 
-#: zlib level for shard payloads: level 1 keeps compression at memory-copy
-#: speed while already collapsing low-entropy code columns by ~4-8x.
+#: zlib level for packed snapshot columns: level 1 keeps compression at
+#: memory-copy speed while already collapsing low-entropy columns by ~4-8x.
 _PAYLOAD_ZLIB_LEVEL = 1
 
 #: Decompression bound for packed columns arriving from *untrusted* wire
@@ -443,15 +434,14 @@ def _decode_blocks(blocks: Sequence[bytes], cache: List[bytes]) -> List[ObjectId
     return objects
 
 
-def _pack_column(values: Sequence[int], compress: bool = True) -> Tuple[str, int, bytes]:
+def _pack_column(values: Sequence[int]) -> Tuple[str, int, bytes]:
     """``(typecode, zlib flag, data)`` with the narrowest dtype that fits."""
     high = max(values, default=0)
     typecode = "B" if high <= 0xFF else ("H" if high <= 0xFFFF else "q")
     raw = array(typecode, values).tobytes()
-    if compress:
-        packed = zlib.compress(raw, _PAYLOAD_ZLIB_LEVEL)
-        if len(packed) < len(raw):
-            return typecode, 1, packed
+    packed = zlib.compress(raw, _PAYLOAD_ZLIB_LEVEL)
+    if len(packed) < len(raw):
+        return typecode, 1, packed
     return typecode, 0, raw
 
 
@@ -533,8 +523,8 @@ class EncodedBatch:
         self._ids, self._id_list = _column_forms(ids)
         self._codes, self._code_list = _column_forms(codes)
         self.objects = objects
-        #: The alphabet the codes were minted against (``None`` after a wire
-        #: round trip); streams refuse batches from a foreign alphabet.
+        #: The alphabet the codes were minted against (``None`` when built
+        #: from bare columns); streams refuse batches from a foreign alphabet.
         self.alphabet = alphabet
         #: ``max_code`` may be passed as an upper bound instead of the exact
         #: maximum (the encoder passes its alphabet's size, the enforcement
@@ -613,24 +603,6 @@ class EncodedBatch:
             self._codes = _q_array(self._code_list)
         return self._codes
 
-    def to_payload(self, compress: bool = True) -> Tuple:
-        """Column bytes for the wire (the id space itself is not shipped)."""
-        return (
-            len(self),
-            _pack_column(self.id_list, compress),
-            _pack_column(self.code_list, compress),
-        )
-
-    @classmethod
-    def from_payload(
-        cls, payload: Tuple, objects: Optional[ObjectInterner] = None
-    ) -> "EncodedBatch":
-        """Rebuild the columns shipped by :meth:`to_payload`."""
-        _count, ids_packed, codes_packed = payload
-        return cls(
-            _unpack_column(ids_packed), _unpack_column(codes_packed), objects or ObjectInterner()
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EncodedBatch({len(self)} events)"
 
@@ -639,9 +611,7 @@ class ColumnarHistorySet:
     """Whole object histories as one flat code column plus offsets.
 
     The batch-checking analogue of :class:`EncodedBatch`: history ``i`` is
-    ``code_list[offsets[i]:offsets[i + 1]]``.  Shards are cut by history
-    index and shipped as narrow-dtype bytes (:meth:`shard_payload`), so a
-    process-pool worker receives pure integer columns.
+    ``code_list[offsets[i]:offsets[i + 1]]``.
     """
 
     __slots__ = ("code_list", "offsets", "alphabet", "max_code", "_codes", "_np_codes")
@@ -655,8 +625,8 @@ class ColumnarHistorySet:
     ) -> None:
         self.code_list = code_list
         self.offsets = offsets
-        #: The alphabet the codes were minted against (``None`` after a wire
-        #: round trip); the engine refuses sets from a foreign alphabet.
+        #: The alphabet the codes were minted against (``None`` when built
+        #: from bare columns); the engine refuses sets from a foreign alphabet.
         self.alphabet = alphabet
         #: An upper bound on the codes, as for :class:`EncodedBatch`.
         self.max_code = max(code_list, default=-1) if max_code is None else max_code
@@ -687,26 +657,10 @@ class ColumnarHistorySet:
             self._codes = _q_array(self.code_list)
         return self._codes
 
-    def lengths(self, start: int = 0, stop: Optional[int] = None) -> List[int]:
-        """Per-history event counts for the index range ``[start, stop)``."""
+    def lengths(self) -> List[int]:
+        """Per-history event counts."""
         offsets = self.offsets
-        stop = len(self) if stop is None else stop
-        return [offsets[i + 1] - offsets[i] for i in range(start, stop)]
-
-    def shard_payload(self, start: int, stop: int, compress: bool = True) -> Tuple:
-        """The histories ``[start, stop)`` as compact wire columns."""
-        offsets = self.offsets
-        return (
-            stop - start,
-            _pack_column(self.lengths(start, stop), compress),
-            _pack_column(self.code_list[offsets[start] : offsets[stop]], compress),
-        )
-
-    @staticmethod
-    def unpack_payload(payload: Tuple) -> Tuple[List[int], List[int]]:
-        """``(lengths, flat code list)`` from :meth:`shard_payload` output."""
-        _count, lengths_packed, codes_packed = payload
-        return _unpack_column(lengths_packed), _unpack_column(codes_packed)
+        return [offsets[i + 1] - offsets[i] for i in range(len(self))]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarHistorySet({len(self)} histories, {len(self.code_list)} events)"
@@ -896,10 +850,9 @@ class FusedKernel:
     group -- still hash-free columnar sweeps).
     """
 
-    __slots__ = ("names", "width", "groups", "locate", "key", "obs")
+    __slots__ = ("names", "width", "groups", "locate", "obs")
 
-    #: Which kernel implementation this is; shard tasks and engine kernel
-    #: keys carry it so worker-local caches rebuild the right kind.
+    #: Which kernel implementation this is; engine kernel keys carry it.
     kind = "fused"
 
     def __init__(
@@ -907,11 +860,9 @@ class FusedKernel:
         specs: Sequence[Tuple[str, CompiledSpec]],
         width: int,
         cap: int = PRODUCT_STATE_CAP,
-        key: Tuple = (),
     ) -> None:
         self.names: Tuple[str, ...] = tuple(name for name, _spec in specs)
         self.width = width
-        self.key = key
         #: Kernel-layer observability instruments
         #: (:class:`repro.obs.instruments.KernelInstruments`) or ``None``;
         #: assigned by the owning engine, so the disabled hot path pays one
@@ -1142,7 +1093,7 @@ class FusedKernel:
         replay`: for each history and spec, the index of the first event
         after which acceptance became impossible -- ``None`` when the
         history stays salvageable throughout, ``-1`` when the spec's
-        language is empty (doomed before any event).  This is the shardable
+        language is empty (doomed before any event).  This is the
         screening primitive behind ``engine.screen_histories``.
         """
         results: Dict[str, List[Optional[int]]] = {}
@@ -1396,193 +1347,23 @@ class FusedKernel:
     def check_history_set(self, history_set: ColumnarHistorySet) -> Dict[str, List[bool]]:
         """Per-spec verdicts for a whole encoded history set (kind-specific).
 
-        The serial entry point of ``check_batch_all``: subclasses may read
-        the set's columns in their native layout instead of via the plain
-        lists.
+        The entry point of ``check_batch_all``: subclasses may read the
+        set's columns in their native layout instead of via the plain lists.
         """
         return self.check_histories(history_set.code_list, history_set.lengths())
-
-    def shard_payload(self, history_set: ColumnarHistorySet, start: int, stop: int) -> Tuple:
-        """The wire payload for histories ``[start, stop)`` (kind-specific).
-
-        The fused kernel ships narrow-dtype zlib-packed column bytes; the
-        vector kernel overrides this with raw buffer-protocol ndarray bytes
-        (no compression round trip -- the worker gathers straight off the
-        received buffers).
-        """
-        return history_set.shard_payload(start, stop)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = "+".join(str(len(group)) for group in self.groups)
         return f"FusedKernel({len(self.names)} specs, states {sizes})"
 
 
-# --------------------------------------------------------------------------- #
-# Shard dispatch
-# --------------------------------------------------------------------------- #
-#: Reserved verdict-dict key carrying a shard's observability payload (span
-#: tree + worker-cache deltas) back to the dispatching engine.  NUL-prefixed
-#: so it can never collide with a registered spec name that a user would
-#: plausibly type.
-OBS_RESULT_KEY = "\x00obs"
-
-#: Kernels a long-lived pool worker keeps across shards.  Spec
-#: re-registrations and alphabet growth mint fresh keys, so the cap is what
-#: keeps a tenant churning generations from growing worker memory without
-#: bound.
-WORKER_KERNEL_CACHE_SIZE = 32
-
-
-class _WorkerKernelCache:
-    """A tiny LRU for worker-side kernels, with hit/miss/eviction counts.
-
-    The predecessor was a plain dict flushed wholesale at 64 entries: every
-    spec re-registration in a long-lived pool minted a new key (generations
-    are part of the kernel key), so steady-state churn periodically dropped
-    *every* warm kernel at once.  The LRU evicts only the coldest entry and
-    keeps honest counters, which shards report back to the dispatching
-    engine's registry (:data:`OBS_RESULT_KEY`).
-    """
-
-    __slots__ = ("maxsize", "_entries", "hits", "misses", "evictions")
-
-    def __init__(self, maxsize: int = WORKER_KERNEL_CACHE_SIZE) -> None:
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Tuple, FusedKernel]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: Tuple) -> Optional[FusedKernel]:
-        kernel = self._entries.get(key)
-        if kernel is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return kernel
-
-    def put(self, key: Tuple, kernel: FusedKernel) -> None:
-        self._entries[key] = kernel
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-        }
-
-
-#: The per-process worker cache (one per pool worker; also serves in-process
-#: callers of :func:`check_columnar_shard`).
-_WORKER_KERNELS = _WorkerKernelCache()
-
-
-def worker_kernel_cache_stats() -> Dict[str, int]:
-    """This process's worker-kernel-cache counters (introspection surface)."""
-    return _WORKER_KERNELS.stats()
-
-
-def make_shard_task(
-    kernel: FusedKernel,
-    specs: Sequence[Tuple[str, CompiledSpec]],
-    payload: Tuple,
-    obs_token: Optional[int] = None,
-    mode: Optional[str] = None,
-) -> Tuple:
-    """One process-pool task: spec references, compact blobs, column bytes.
-
-    ``obs_token`` -- the dispatching span's id (0 for metrics-only) -- is
-    appended only when observability is on, so the disabled wire format is
-    byte-identical to the uninstrumented one.  ``mode`` selects the worker
-    computation: ``None`` (membership verdicts, the historical wire shape)
-    or ``"screen"`` (per-history first-fatal indices for the enforcement
-    audit, :meth:`FusedKernel.fatal_histories`); a mode-carrying task is a
-    5-tuple whose fourth slot holds the obs token or ``None``.
-    """
-    blobs = tuple(spec.to_blob() for _name, spec in specs)
-    if mode is not None:
-        return (kernel.key, blobs, payload, obs_token, mode)
-    if obs_token is None:
-        return (kernel.key, blobs, payload)
-    return (kernel.key, blobs, payload, obs_token)
-
-
-def check_columnar_shard(task: Tuple) -> Dict[str, List[bool]]:
-    """Check one encoded shard (module-level so process pools can pickle it).
-
-    When the task carries an observability token, the verdict dict also
-    carries :data:`OBS_RESULT_KEY`: the shard's span (duration + history
-    count, recorded on this worker's clock), the parent span id to graft it
-    under, and the worker-cache delta for this call -- the engine pops the
-    key, merges the numbers into its registry, and attaches the span to the
-    dispatching trace.
-    """
-    _fire("worker.shard")
-    key, blobs, payload = task[0], task[1], task[2]
-    obs_token = task[3] if len(task) > 3 else None
-    mode = task[4] if len(task) > 4 else None
-    start = perf_counter() if obs_token is not None else 0.0
-    kernel = _WORKER_KERNELS.get(key)
-    cache_hit = kernel is not None
-    if kernel is None:
-        _engine_token, references, width, cap, kind = key
-        specs = [
-            (name, CompiledSpec.from_blob(blob))
-            for (name, _generation), blob in zip(references, blobs)
-        ]
-        if kind == "vector":
-            from repro.engine.vector import VectorKernel
-
-            kernel = VectorKernel(specs, width, cap, key=key)
-        else:
-            kernel = FusedKernel(specs, width, cap, key=key)
-        _WORKER_KERNELS.put(key, kernel)
-    if payload[1][0] == "nd":
-        from repro.engine.vector import unpack_shard_arrays
-
-        lengths, code_list = unpack_shard_arrays(payload)
-    else:
-        lengths, code_list = ColumnarHistorySet.unpack_payload(payload)
-    if mode == "screen":
-        result = kernel.fatal_histories(code_list, lengths)
-    else:
-        result = kernel.check_histories(code_list, lengths)
-    if obs_token is not None:
-        result[OBS_RESULT_KEY] = {
-            "parent": obs_token,
-            "span": {
-                "name": "shard.check",
-                "duration": perf_counter() - start,
-                "meta": {"histories": len(lengths), "kind": kernel.kind},
-            },
-            "cache_hit": cache_hit,
-            "cache_size": len(_WORKER_KERNELS),
-        }
-    return result
-
-
 __all__ = [
     "COLUMN_WIRE_LIMIT",
     "IDENTITY_LIMIT",
-    "OBS_RESULT_KEY",
     "PRODUCT_STATE_CAP",
-    "WORKER_KERNEL_CACHE_SIZE",
     "ObjectInterner",
     "EncodedBatch",
     "Rejections",
     "ColumnarHistorySet",
     "FusedKernel",
-    "make_shard_task",
-    "check_columnar_shard",
-    "worker_kernel_cache_stats",
 ]

@@ -194,7 +194,7 @@ class CompiledSpec:
         return self._fingerprint
 
     # ------------------------------------------------------------------ #
-    # Shared-alphabet remapping and worker dispatch
+    # Shared-alphabet remapping
     # ------------------------------------------------------------------ #
     def ensure_remap(self, shared: "RoleSetAlphabet") -> array:
         """The ``shared code -> spec code`` array, extended to ``shared``'s size.
@@ -228,42 +228,6 @@ class CompiledSpec:
             np.frombuffer(bytes(self.doomed), dtype=np.uint8),
             np.frombuffer(self.remap.tobytes(), dtype=np.intc),
         )
-
-    def to_blob(self) -> Tuple:
-        """A compact, frozenset-free wire form for process-pool workers.
-
-        Everything is raw ``bytes`` lifted straight off the array buffers:
-        no ``codes`` dict, no role-set ``symbols`` tuple -- the worker-side
-        sweep runs entirely over shared integer codes through :attr:`remap`.
-        """
-        return (
-            self.n_states,
-            self.n_symbols,
-            self.initial,
-            self.table.tobytes(),
-            bytes(self.accepting),
-            bytes(self.doomed),
-            self.remap.tobytes(),
-        )
-
-    @classmethod
-    def from_blob(cls, blob: Tuple) -> "CompiledSpec":
-        """Rebuild a runner from :meth:`to_blob` output (symbols stay opaque).
-
-        The result has no symbol table (``codes``/``symbols`` are empty), so
-        it can only run *encoded* columns -- exactly what shard dispatch
-        ships.
-        """
-        n_states, n_symbols, initial, table_bytes, accepting, doomed, remap_bytes = blob
-        table = array("i")
-        table.frombytes(table_bytes)
-        spec = cls({}, (), initial, table, bytearray(accepting), bytearray(doomed))
-        spec.n_symbols = n_symbols
-        spec.n_states = n_states
-        spec.dead = n_states
-        spec.remap = array("i")
-        spec.remap.frombytes(remap_bytes)
-        return spec
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledSpec(states={self.n_states}, symbols={self.n_symbols})"

@@ -12,10 +12,7 @@ Since the columnar pipeline (:mod:`repro.engine.batch`) the engine's native
 interchange format is *encoded columns*: every event batch and history set
 is encoded **once** against the engine's shared
 :class:`repro.formal.alphabet.RoleSetAlphabet`, all registered specs are
-fused into one product kernel advanced in a single pass per batch, and
-process-pool shards ship compact column bytes plus ``(name, generation)``
-spec references resolved through a worker-local cache -- never pickled
-frozensets.
+fused into one product kernel advanced in a single pass per batch.
 
 Typical use::
 
@@ -35,19 +32,15 @@ from __future__ import annotations
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, count
-from time import perf_counter
+from itertools import compress
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.batch import (
-    OBS_RESULT_KEY,
     PRODUCT_STATE_CAP,
     ColumnarHistorySet,
     EncodedBatch,
     FusedKernel,
     ObjectInterner,
-    check_columnar_shard,
-    make_shard_task,
 )
 from repro.engine import vector
 from repro.engine.cache import SpecCache
@@ -59,7 +52,6 @@ from repro.engine.diagnostics import (
     Violation,
     diagnose,
 )
-from repro.engine.executor import MIN_SHARD_EVENTS, SerialExecutor, shard_bounds_by_events
 from repro.formal.alphabet import RoleSetAlphabet
 from repro.formal.nfa import NFA
 from repro.obs import enabled as _obs_enabled
@@ -70,23 +62,6 @@ from repro.obs.spans import TRACER
 Symbol = Hashable
 ObjectId = Hashable
 Event = Tuple[ObjectId, Symbol]
-
-#: Process-unique engine tokens; part of every kernel key so two engines
-#: sharing one executor can never be served each other's worker-side
-#: kernels (spec *names* alone are not globally unique).
-_ENGINE_TOKENS = count()
-
-
-def _payload_nbytes(payload) -> int:
-    """Wire bytes of a shard payload (nested tuples of packed columns)."""
-    if isinstance(payload, memoryview):
-        return payload.nbytes
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, (tuple, list)):
-        return sum(_payload_nbytes(item) for item in payload)
-    return 0
-
 
 def _as_automaton(spec) -> NFA:
     """Accept an NFA, a DFA, or anything exposing ``.automaton`` (inventories)."""
@@ -151,13 +126,8 @@ class HistoryCheckerEngine:
 
     Parameters
     ----------
-    executor:
-        Shard executor for batch checking; defaults to
-        :class:`repro.engine.executor.SerialExecutor`.
     cache_size:
         Capacity of the compiled-spec LRU cache.
-    batch_size:
-        Histories per shard in :meth:`check_batch` / :meth:`check_batch_all`.
     product_cap:
         Product states per fused-kernel group before specs spill into a new
         group (:data:`repro.engine.batch.PRODUCT_STATE_CAP`).
@@ -167,10 +137,6 @@ class HistoryCheckerEngine:
         :mod:`repro.engine.vector`; raises when numpy is missing) or
         ``"auto"`` (the default -- vector when numpy imports, silently
         fused otherwise).
-    min_shard_events:
-        Minimum event mass per process-pool shard
-        (:data:`repro.engine.executor.MIN_SHARD_EVENTS`); batches below it
-        run serially instead of paying the pool round trip.
     obs:
         Observability wiring (:mod:`repro.obs`).  ``None`` (the default)
         follows the process switch -- the engine is instrumented against
@@ -184,12 +150,9 @@ class HistoryCheckerEngine:
 
     def __init__(
         self,
-        executor=None,
         cache_size: int = 64,
-        batch_size: int = 2048,
         product_cap: int = PRODUCT_STATE_CAP,
         kernel: str = "auto",
-        min_shard_events: Optional[int] = None,
         obs=None,
     ) -> None:
         if kernel not in ("auto", "fused", "vector"):
@@ -202,14 +165,9 @@ class HistoryCheckerEngine:
                 "repro[fast] extra, or use kernel='auto' to fall back to the fused "
                 "kernel"
             )
-        self._executor = executor if executor is not None else SerialExecutor()
         self._cache = SpecCache(cache_size)
-        self._batch_size = batch_size
         self._product_cap = product_cap
         self._kernel_choice = kernel
-        self._min_shard_events = (
-            MIN_SHARD_EVENTS if min_shard_events is None else min_shard_events
-        )
         self._sources: Dict[str, NFA] = {}
         self._generations: Dict[str, int] = {}
         #: MCL provenance per spec (a ``CompiledConstraint`` with span-anchored
@@ -219,13 +177,12 @@ class HistoryCheckerEngine:
         #: append-only, so spec remap arrays and kernels only ever *extend*.
         self._alphabet = RoleSetAlphabet()
         self._kernels = SpecCache(16)
-        self._token = next(_ENGINE_TOKENS)
         self._obs = _resolve_obs(obs, _obs_enabled(), _obs_default_registry())
         if self._obs is not None:
             self._bind_obs()
 
     def _bind_obs(self) -> None:
-        """Wire the resolved instruments into the caches and the executor."""
+        """Wire the resolved instruments into the caches."""
         instruments = self._obs
         instruments.registry.gauge(
             "repro_engine_specs", "Registered specifications"
@@ -236,9 +193,6 @@ class HistoryCheckerEngine:
             instruments.spec_cache_evictions,
         )
         self._kernels.bind_metrics(*instruments.cache_counters("kernel"))
-        bind = getattr(self._executor, "bind_obs", None)
-        if bind is not None:
-            bind(instruments)
 
     # ------------------------------------------------------------------ #
     # Spec registry
@@ -522,7 +476,6 @@ class HistoryCheckerEngine:
         specs = [(name, self.compiled(name)) for name in names]
         kind = self._kernel_kind()
         key = (
-            self._token,
             tuple((name, self._generations[name]) for name in names),
             len(self._alphabet),
             self._product_cap,
@@ -531,7 +484,7 @@ class HistoryCheckerEngine:
         kernel = self._kernels.get(key)
         if kernel is None:
             factory = vector.VectorKernel if kind == "vector" else FusedKernel
-            kernel = factory(specs, len(self._alphabet), self._product_cap, key=key)
+            kernel = factory(specs, len(self._alphabet), self._product_cap)
             if self._obs is not None:
                 kernel.obs = self._obs.kernel(kernel.kind)
             self._kernels.put(key, kernel)
@@ -544,7 +497,6 @@ class HistoryCheckerEngine:
         self,
         name: str,
         histories: Sequence[Sequence[Symbol]],
-        executor=None,
         explain: bool = False,
     ):
         """The membership verdict of every history, in input order.
@@ -553,7 +505,7 @@ class HistoryCheckerEngine:
         one :class:`repro.engine.diagnostics.Violation` per failing history
         (``object_id`` set to its batch index), in batch order.
         """
-        verdicts = self.check_batch_all(histories, [name], executor=executor)[name]
+        verdicts = self.check_batch_all(histories, [name])[name]
         if not explain:
             return verdicts
         violations = [
@@ -567,16 +519,13 @@ class HistoryCheckerEngine:
         self,
         histories,
         names: Optional[Iterable[str]] = None,
-        executor=None,
     ) -> Dict[str, List[bool]]:
         """Batch verdicts for several specs in one encoded pass.
 
         ``histories`` may be raw symbol sequences or an already encoded
         :class:`repro.engine.batch.ColumnarHistorySet`.  Histories are
-        encoded once, every selected spec is fused into one product kernel,
-        and -- with a parallel executor -- shards ship as compact column
-        bytes plus ``(name, generation)`` spec references resolved through a
-        worker-local compile cache, not pickled tables and frozensets.
+        encoded once and every selected spec is fused into one product
+        kernel, which checks the whole set in-process.
         """
         selected = tuple(names) if names is not None else self.spec_names()
         if not selected:
@@ -584,7 +533,7 @@ class HistoryCheckerEngine:
         obs = self._obs
         if obs is not None:
             obs.check_batches_total.inc()
-        with TRACER.trace("engine.check_batch_all", specs=len(selected)) as span:
+        with TRACER.trace("engine.check_batch_all", specs=len(selected)):
             if isinstance(histories, ColumnarHistorySet):
                 history_set = histories
                 if (
@@ -599,56 +548,9 @@ class HistoryCheckerEngine:
                 with TRACER.trace("encode.histories"):
                     history_set = ColumnarHistorySet.from_histories(histories, self._alphabet)
             kernel = self._kernel_for(selected)
-            backend = executor if executor is not None else self._executor
-            bounds = (
-                None
-                if isinstance(backend, SerialExecutor)
-                else shard_bounds_by_events(
-                    history_set.offsets, self._batch_size, self._min_shard_events
-                )
-            )
-            if bounds is None or len(bounds) <= 1:
-                with TRACER.trace("kernel.check", kind=kernel.kind):
-                    verdicts = kernel.check_history_set(history_set)
-                result = {name: verdicts[name] for name in selected}
-            else:
-                specs = [(name, self.compiled(name)) for name in selected]
-                # The shard tasks carry the dispatching span's id (0 for
-                # metrics-only) so workers report their span + cache deltas
-                # back under OBS_RESULT_KEY; disabled, the wire format is
-                # byte-identical to the uninstrumented one.
-                token = span.span_id if obs is not None else None
-                tasks = [
-                    make_shard_task(
-                        kernel,
-                        specs,
-                        kernel.shard_payload(history_set, start, stop),
-                        obs_token=token,
-                    )
-                    for start, stop in bounds
-                ]
-                if obs is not None:
-                    obs.shards_total.inc(len(tasks))
-                    obs.shard_payload_bytes.inc(
-                        sum(_payload_nbytes(task[2]) for task in tasks)
-                    )
-                with TRACER.trace("pool.dispatch", shards=len(tasks)) as dispatch:
-                    if obs is not None and getattr(backend, "_obs", None) is None:
-                        # Per-call backends are not bound at construction the
-                        # way the engine's own executor is; time them here.
-                        started = perf_counter()
-                        results = backend.run(check_columnar_shard, tasks)
-                        obs.pool_dispatch_seconds.observe(perf_counter() - started)
-                    else:
-                        results = backend.run(check_columnar_shard, tasks)
-                stitched: Dict[str, List[bool]] = {name: [] for name in selected}
-                for piece in results:
-                    extra = piece.pop(OBS_RESULT_KEY, None)
-                    if extra is not None and obs is not None:
-                        self._merge_shard_obs(obs, dispatch, extra)
-                    for name in selected:
-                        stitched[name].extend(piece[name])
-                result = stitched
+            with TRACER.trace("kernel.check", kind=kernel.kind):
+                verdicts = kernel.check_history_set(history_set)
+            result = {name: verdicts[name] for name in selected}
         if obs is not None:
             for name in selected:
                 verdicts = result[name]
@@ -661,7 +563,6 @@ class HistoryCheckerEngine:
         self,
         histories,
         names: Optional[Iterable[str]] = None,
-        executor=None,
     ) -> Dict[str, List[Optional[int]]]:
         """Per-spec first-fatal indices for a batch of histories.
 
@@ -670,10 +571,7 @@ class HistoryCheckerEngine:
         acceptance became impossible -- ``None`` when the history stays
         salvageable throughout, ``-1`` when the spec's language is empty.
         Shares the encode-once/fused-kernel pipeline of
-        :meth:`check_batch_all`; with a parallel executor the shards ship
-        with a ``"screen"`` mode tag and the per-shard verdicts are
-        stitched back **in shard order**, so supervised pools (retries,
-        respawns, degraded serial fallback) merge deterministically.
+        :meth:`check_batch_all`.
         """
         selected = tuple(names) if names is not None else self.spec_names()
         if not selected:
@@ -691,50 +589,8 @@ class HistoryCheckerEngine:
         else:
             history_set = ColumnarHistorySet.from_histories(histories, self._alphabet)
         kernel = self._kernel_for(selected)
-        backend = executor if executor is not None else self._executor
-        bounds = (
-            None
-            if isinstance(backend, SerialExecutor)
-            else shard_bounds_by_events(
-                history_set.offsets, self._batch_size, self._min_shard_events
-            )
-        )
-        if bounds is None or len(bounds) <= 1:
-            fatal = kernel.fatal_histories(history_set.code_list, history_set.lengths())
-            return {name: fatal[name] for name in selected}
-        specs = [(name, self.compiled(name)) for name in selected]
-        tasks = [
-            make_shard_task(
-                kernel,
-                specs,
-                kernel.shard_payload(history_set, start, stop),
-                mode="screen",
-            )
-            for start, stop in bounds
-        ]
-        results = backend.run(check_columnar_shard, tasks)
-        stitched: Dict[str, List[Optional[int]]] = {name: [] for name in selected}
-        for piece in results:
-            piece.pop(OBS_RESULT_KEY, None)
-            for name in selected:
-                stitched[name].extend(piece[name])
-        return stitched
-
-    @staticmethod
-    def _merge_shard_obs(obs, dispatch_span, extra: Dict) -> None:
-        """Fold one shard's worker-side observability report into this process.
-
-        Workers ship per-call deltas (this call's cache hit/miss plus the
-        cache's current size), never cumulative totals, so re-used pool
-        workers are not double-counted.
-        """
-        if extra["cache_hit"]:
-            obs.worker_cache_hits.inc()
-        else:
-            obs.worker_cache_misses.inc()
-        obs.worker_cache_size.set(extra["cache_size"])
-        if TRACER.enabled:
-            TRACER.attach_remote(dispatch_span, extra["span"])
+        fatal = kernel.fatal_histories(history_set.code_list, history_set.lengths())
+        return {name: fatal[name] for name in selected}
 
     # ------------------------------------------------------------------ #
     # Streaming
@@ -838,26 +694,8 @@ class HistoryCheckerEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Lifecycle and introspection
+    # Introspection
     # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Release the engine's executor (process pools included); idempotent.
-
-        Engines are context managers, so pool-backed ones no longer leak
-        worker processes on teardown::
-
-            with HistoryCheckerEngine(executor=ProcessPoolShardExecutor()) as engine:
-                ...
-        """
-        close = getattr(self._executor, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "HistoryCheckerEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
     def stats(self) -> Dict[str, object]:
         """One introspection dict: registry sizes, cache counters, kernel kind.
 
@@ -874,17 +712,6 @@ class HistoryCheckerEngine:
             "kernel_cache": self._kernels.stats(),
             "observability": self._obs is not None,
         }
-        executor_stats = getattr(self._executor, "stats", None)
-        if executor_stats is not None:
-            # A SupervisedExecutor reports its retry/timeout/respawn/
-            # quarantine/degrade counters and current degradation state.
-            data["fault_tolerance"] = executor_stats()
-        else:
-            # Dashboards key on the section unconditionally; engines without
-            # a supervised executor report the same shape, zeroed.
-            from repro.engine.supervisor import zeroed_stats
-
-            data["fault_tolerance"] = zeroed_stats()
         if self._obs is not None:
             data["metrics"] = self._obs.registry.to_dict()
         return data

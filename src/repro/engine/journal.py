@@ -53,7 +53,16 @@ crash -- the failure mode the chaos suite injects -- loses nothing);
 ``fsync=True`` additionally syncs the file per batch, extending the
 guarantee to power loss at a measurable throughput cost.  Checkpoints are
 always written tmp + fsync + ``os.replace``, so a crash mid-checkpoint
-leaves the previous generation intact.
+leaves the previous generation intact.  :func:`open_durable` syncs every
+directory level it creates into its parent, so a fresh journal's own
+directory entry is as durable as its first checkpoint.
+
+Records carry no sequence number: recovery trusts that the records it
+reads are a prefix of those written.  Both stated failures -- a process
+crash, and power loss under ``fsync=True`` -- lose a suffix at most.  A
+record dropped from the *middle* of a segment (an in-flight record cut to
+zero bytes, which neither failure can produce) would replay the records
+around it as a non-prefix, undetected.
 
 Every checkpoint -- the initial one of :func:`open_durable`,
 :meth:`DurableStream.checkpoint` and recovery's re-checkpoint -- runs in
@@ -342,8 +351,8 @@ class DurableStream:
             protocol=4,
         )
         record = _frame_record(RT_EVENTS, body)
-        # The chaos suites corrupt in-flight records here ("flip"/"truncate"
-        # actions); disarmed, this is one global is-None check.
+        # The chaos suites fail or corrupt in-flight records here ("raise"/
+        # "flip" actions); disarmed, this is one global is-None check.
         record = _fire("journal.append", record)
         self._write(record)
         self._symbols_recorded = len(alphabet)
@@ -433,6 +442,23 @@ def _sync_directory(directory: str) -> None:
         os.close(fd)
 
 
+def _make_directory(directory: str) -> None:
+    """Create ``directory`` and its missing parents, each level made durable.
+
+    A directory's own entry lives in its parent, so every level this call
+    creates is followed by an fsync of that parent; without it a power loss
+    could drop the new directory, checkpoint 0 and all.  An existing
+    directory is left alone and nothing is synced.
+    """
+    directory = os.path.abspath(directory)
+    if os.path.isdir(directory):
+        return
+    parent = os.path.dirname(directory)
+    _make_directory(parent)
+    os.mkdir(directory)
+    _sync_directory(parent)
+
+
 def _remove_quiet(path: str) -> None:
     try:
         os.remove(path)
@@ -451,13 +477,14 @@ def open_durable(
 ) -> DurableStream:
     """A fresh durable session journaling into an empty ``directory``.
 
-    The directory is created if missing and must not already hold journal
-    files (recover those with :func:`recover` instead of clobbering them).
-    An initial checkpoint (seq 0) and segment are written immediately, so
-    the directory is recoverable from the first instant.
+    The directory is created if missing (each created level synced into its
+    parent) and must not already hold journal files (recover those with
+    :func:`recover` instead of clobbering them).  An initial checkpoint
+    (seq 0) and segment are written immediately, so the directory is
+    recoverable from the first instant.
     """
     directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
+    _make_directory(directory)
     if _listed_seqs(directory, _CHECKPOINT_PREFIX, _CHECKPOINT_SUFFIX) or _listed_seqs(
         directory, _SEGMENT_PREFIX, _SEGMENT_SUFFIX
     ):

@@ -26,7 +26,7 @@ Pieces:
   per-thread lock-free accumulation and thread-safe merge-on-read, plus the
   ``render_text``/``to_dict`` exposition surface;
 * :mod:`repro.obs.spans` -- the :func:`trace` context manager building
-  span trees, propagated across process-pool shard dispatch;
+  span trees;
 * :mod:`repro.obs.instruments` -- the engine's instrument catalog,
   pre-resolved so hot paths never touch the registry;
 * ``python -m repro.obs`` -- runs a workload against an instrumented
@@ -43,7 +43,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_counter_deltas,
 )
 from repro.obs.spans import NOOP_SPAN, TRACER, Span, Tracer
 
@@ -129,7 +128,6 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "merge_counter_deltas",
     "recent_spans",
     "render_text",
     "trace",

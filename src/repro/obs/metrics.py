@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
-#: Default histogram buckets (seconds): tuned for pool round trips and
-#: batch feeds, 1ms to 10s.  ``+Inf`` is implicit -- the overflow bucket.
+#: Default histogram buckets (seconds): tuned for batch feeds and checks,
+#: 1ms to 10s.  ``+Inf`` is implicit -- the overflow bucket.
 DEFAULT_BUCKETS = (
     0.001,
     0.0025,
@@ -348,26 +348,10 @@ class MetricsRegistry:
         return f"MetricsRegistry({self.name!r}, {len(self)} instruments)"
 
 
-def merge_counter_deltas(
-    registry: MetricsRegistry, deltas: Iterable[Tuple[str, Dict[str, str], int]]
-) -> None:
-    """Fold ``(name, labels, amount)`` counter deltas into ``registry``.
-
-    The cross-process half of the merge story: pool workers cannot share
-    cells with the parent, so they ship plain integer deltas (see
-    :func:`repro.engine.batch.check_columnar_shard`) which the parent adds
-    to its own counters here.
-    """
-    for name, labels, amount in deltas:
-        if amount:
-            registry.counter(name, **labels).inc(amount)
-
-
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_counter_deltas",
 ]

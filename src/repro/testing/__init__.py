@@ -3,8 +3,7 @@
 :mod:`repro.testing.faults` is the deterministic fault-injection harness
 the chaos suites drive the engine with.  It lives under ``src`` (not
 ``tests/``) because its sites are compiled into the production modules --
-a disarmed site costs one module-global ``is None`` check -- and because
-process-pool workers must be able to import it by module path.
+a disarmed site costs one module-global ``is None`` check.
 """
 
 from repro.testing.faults import (

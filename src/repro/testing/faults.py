@@ -1,8 +1,7 @@
 """Deterministic fault injection for the chaos suites.
 
-The fault-tolerance layers (:mod:`repro.engine.supervisor`,
-:mod:`repro.engine.journal`) are tested by *injecting* the failures they
-claim to survive -- worker death mid-shard, exceptions and delays at named
+The durability layer (:mod:`repro.engine.journal`) is tested by
+*injecting* the failures it claims to survive -- exceptions at named
 execution sites, bit-flipped or torn wire payloads -- under seeds, so every
 chaos case is reproducible from its parameters alone.
 
@@ -11,31 +10,18 @@ A disarmed harness (the default, and the only state outside the chaos
 suites) makes a site one module-global ``is None`` check.  Arming installs
 a :class:`FaultInjector` built from :class:`FaultSpec` rows::
 
-    injector = FaultInjector(
-        [FaultSpec("worker.shard", "kill", times=1)],
-        seed=7,
-        scope_dir=tmp_path,          # budgets shared across processes
-    )
+    injector = FaultInjector([FaultSpec("journal.append", "flip", times=1)], seed=7)
     with inject(injector):
-        engine.check_batch_all(histories)   # first shard kills its worker
+        durable.feed_events(events)   # the first journal record is corrupted
 
-Cross-process semantics: pool workers inherit the installed injector on
-fork platforms, and :meth:`FaultInjector.initializer` arms spawned workers
-explicitly (pass it to :class:`repro.engine.executor.ProcessPoolBackend`).
-Budgeted specs (``times=N``) draw tokens from an append-only counter file
-under ``scope_dir``, so "fail the first N executions" holds across every
-process touching the site -- retried shards stop failing once the budget
-is spent, whatever worker they land on.
+The sites are ``journal.append`` (each framed WAL record, before it is
+written) and ``journal.checkpoint`` (each checkpoint's snapshot blob,
+before it is written).  Injectors live in the process that arms them.
 
 Actions:
 
 ``raise``
-    Raise :class:`FaultError` at the site (a transient task failure).
-``delay``
-    Sleep ``delay`` seconds (a hung worker, from a deadline's viewpoint).
-``kill``
-    ``os._exit(KILL_EXIT_CODE)`` -- the process dies without cleanup, the
-    way a segfault or an OOM kill takes out a pool worker.
+    Raise :class:`FaultError` at the site (a transient failure).
 ``flip``
     Flip seeded bits of the site's ``bytes`` payload (wire corruption).
 ``truncate``
@@ -48,17 +34,11 @@ helpers the fuzz suites apply to snapshot blobs and journal files at rest.
 from __future__ import annotations
 
 import os
-import pickle
 import random
-import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional
 
-#: The status a ``kill`` action exits the process with; distinctive enough
-#: to recognize in pool post-mortems.
-KILL_EXIT_CODE = 113
-
-_ACTIONS = ("raise", "delay", "kill", "flip", "truncate")
+_ACTIONS = ("raise", "flip", "truncate")
 
 
 class FaultError(RuntimeError):
@@ -73,22 +53,19 @@ class FaultSpec:
     site:
         The site name the rule matches (exact match).
     action:
-        One of ``raise`` / ``delay`` / ``kill`` / ``flip`` / ``truncate``.
+        One of ``raise`` / ``flip`` / ``truncate``.
     times:
-        Fire at most this many times across *all* processes sharing the
-        injector's scope (``None`` = unbounded).
+        Fire at most this many times (``None`` = unbounded).
     after:
         Skip the first ``after`` triggers of the site before firing.
     probability:
         Fire each eligible trigger only with this probability (seeded;
         ``None`` = always).
-    delay:
-        Seconds to sleep for ``delay`` actions.
     flips:
         Bits to flip for ``flip`` actions.
     """
 
-    __slots__ = ("site", "action", "times", "after", "probability", "delay", "flips")
+    __slots__ = ("site", "action", "times", "after", "probability", "flips")
 
     def __init__(
         self,
@@ -97,7 +74,6 @@ class FaultSpec:
         times: Optional[int] = 1,
         after: int = 0,
         probability: Optional[float] = None,
-        delay: float = 0.05,
         flips: int = 1,
     ) -> None:
         if action not in _ACTIONS:
@@ -107,66 +83,33 @@ class FaultSpec:
         self.times = times
         self.after = after
         self.probability = probability
-        self.delay = delay
         self.flips = flips
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultSpec({self.site!r}, {self.action!r}, times={self.times})"
 
-    # FaultSpec crosses the pickle boundary inside FaultInjector blobs.
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
-
 
 class FaultInjector:
     """A seeded set of :class:`FaultSpec` rules, installable process-wide.
 
-    ``scope_dir`` makes trigger counting and budgets *cross-process*: each
-    ``(site, rule)`` pair owns an append-only token file there, and a
-    trigger claims the next token with one ``O_APPEND`` write -- atomic on
-    POSIX, so concurrent pool workers serialize on the file, not on locks.
-    Without a scope dir, counters are plain in-process integers.
+    Every random draw -- which bits a ``flip`` hits, where a ``truncate``
+    cuts, whether a ``probability`` rule fires -- comes from an RNG seeded
+    with a string naming the injector seed, the site and the trigger
+    ordinal, so a draw is the same on every Python version and under every
+    ``PYTHONHASHSEED``.
     """
 
-    def __init__(
-        self,
-        specs: Iterable[FaultSpec],
-        seed: int = 0,
-        scope_dir: Optional[str] = None,
-    ) -> None:
+    def __init__(self, specs: Iterable[FaultSpec], seed: int = 0) -> None:
         self.specs: List[FaultSpec] = list(specs)
         self.seed = seed
-        self.scope_dir = None if scope_dir is None else os.fspath(scope_dir)
-        self._rng = random.Random(seed)
-        self._local_counts: Dict[int, int] = {}
-        #: Site -> times fired, in this process (introspection for tests).
+        self._counts: Dict[int, int] = {}
+        #: Site -> times fired (introspection for tests).
         self.fired: Dict[str, int] = {}
-
-    # ------------------------------------------------------------------ #
-    # Trigger accounting
-    # ------------------------------------------------------------------ #
-    def _next_trigger(self, rule_index: int) -> int:
-        """The 0-based global trigger ordinal for one rule, claimed now."""
-        if self.scope_dir is None:
-            ordinal = self._local_counts.get(rule_index, 0)
-            self._local_counts[rule_index] = ordinal + 1
-            return ordinal
-        path = os.path.join(self.scope_dir, f"fault-{rule_index}.tokens")
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, b"x")
-            return os.fstat(fd).st_size - 1
-        finally:
-            os.close(fd)
 
     def _mutate(self, spec: FaultSpec, payload, ordinal: int):
         if not isinstance(payload, (bytes, bytearray)) or not payload:
             return payload
-        rng = random.Random((self.seed, spec.site, ordinal))
+        rng = random.Random(f"{self.seed}:{spec.site}:{ordinal}")
         if spec.action == "flip":
             return bit_flip(bytes(payload), rng=rng, flips=spec.flips)
         keep = rng.randrange(len(payload))
@@ -175,56 +118,28 @@ class FaultInjector:
     def fire(self, site: str, payload=None):
         """Trigger one site; returns the (possibly mutated) payload.
 
-        ``raise``/``delay``/``kill`` act on control flow; ``flip`` and
-        ``truncate`` act on a ``bytes`` payload and return the mutated
-        copy (sites that carry no payload pass them through unchanged).
+        ``raise`` acts on control flow; ``flip`` and ``truncate`` act on a
+        ``bytes`` payload and return the mutated copy (sites that carry no
+        payload pass them through unchanged).
         """
         for rule_index, spec in enumerate(self.specs):
             if spec.site != site:
                 continue
-            ordinal = self._next_trigger(rule_index)
+            ordinal = self._counts.get(rule_index, 0)
+            self._counts[rule_index] = ordinal + 1
             if ordinal < spec.after:
                 continue
             if spec.times is not None and ordinal >= spec.after + spec.times:
                 continue
             if spec.probability is not None:
-                decider = random.Random((self.seed, site, "p", ordinal))
+                decider = random.Random(f"{self.seed}:{site}:p:{ordinal}")
                 if decider.random() >= spec.probability:
                     continue
             self.fired[site] = self.fired.get(site, 0) + 1
             if spec.action == "raise":
                 raise FaultError(f"injected fault at {site} (trigger {ordinal})")
-            if spec.action == "delay":
-                time.sleep(spec.delay)
-            elif spec.action == "kill":
-                os._exit(KILL_EXIT_CODE)
-            else:
-                payload = self._mutate(spec, payload, ordinal)
+            payload = self._mutate(spec, payload, ordinal)
         return payload
-
-    # ------------------------------------------------------------------ #
-    # Cross-process installation
-    # ------------------------------------------------------------------ #
-    def initializer(self):
-        """``(function, args)`` arming this injector in a spawned worker.
-
-        Pass as ``ProcessPoolBackend(initializer=f, initargs=a)``; fork
-        platforms inherit the installed injector anyway, and re-installing
-        the same blob is harmless (budgets live in ``scope_dir`` files).
-        """
-        return _install_pickled, (pickle.dumps(self),)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        # The RNG and per-process counters are process-local by design.
-        state["_rng"] = None
-        state["_local_counts"] = {}
-        state["fired"] = {}
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._rng = random.Random(self.seed)
 
 
 #: The process-wide armed injector; ``None`` keeps every site disarmed.
@@ -246,11 +161,6 @@ def uninstall() -> None:
     """Disarm every site."""
     global _ACTIVE
     _ACTIVE = None
-
-
-def _install_pickled(blob: bytes) -> None:
-    """Pool-worker initializer target (module-level so it pickles)."""
-    install(pickle.loads(blob))
 
 
 @contextmanager
@@ -321,7 +231,6 @@ def corrupt_file(path, seed: int = 0, flips: int = 1) -> None:
 
 
 __all__ = [
-    "KILL_EXIT_CODE",
     "FaultError",
     "FaultSpec",
     "FaultInjector",

@@ -1,4 +1,4 @@
-"""Unit tests for the columnar pipeline: interner, batches, payloads, kernel.
+"""Unit tests for the columnar pipeline: interner, batches, kernel.
 
 Also pins the two satellite fixes of the columnar PR: ``feed_events`` counts
 events (and bumps ``events_seen``) with zero registered specs, and
@@ -6,7 +6,6 @@ events (and bumps ``events_seen``) with zero registered specs, and
 ``advance`` per event.
 """
 
-import pickle
 from array import array
 
 import pytest
@@ -73,15 +72,6 @@ class TestEncodedBatch:
         assert batch.ids.typecode == batch.codes.typecode == "q"
         assert batch.max_id == 1
 
-    def test_payload_round_trip_preserves_columns(self):
-        alphabet = RoleSetAlphabet()
-        _histories, events = generators.banking_event_stream(seed=3, objects=50, mean_length=6)
-        batch = EncodedBatch.from_events(events, alphabet)
-        for compress in (True, False):
-            restored = EncodedBatch.from_payload(batch.to_payload(compress=compress))
-            assert restored.id_list == batch.id_list
-            assert restored.code_list == batch.code_list
-
     def test_code_column_may_arrive_as_an_array(self):
         alphabet = RoleSetAlphabet()
         codes = array("q", [alphabet.intern(banking.ROLE_INTEREST), alphabet.intern(frozenset())])
@@ -126,23 +116,6 @@ class TestColumnarHistorySet:
         empty = ColumnarHistorySet.from_histories([], RoleSetAlphabet())
         assert len(empty) == 0 and list(empty.offsets) == [0] and empty.max_code == -1
 
-    def test_shard_payload_round_trip(self):
-        alphabet = RoleSetAlphabet()
-        histories, _events = generators.banking_event_stream(seed=7, objects=64, mean_length=5)
-        history_set = ColumnarHistorySet.from_histories(histories, alphabet)
-        lengths, codes = ColumnarHistorySet.unpack_payload(history_set.shard_payload(10, 30))
-        assert lengths == history_set.lengths(10, 30)
-        offsets = history_set.offsets
-        assert codes == history_set.code_list[offsets[10] : offsets[30]]
-
-    def test_payload_is_picklable_and_compact(self):
-        alphabet = RoleSetAlphabet()
-        histories, _events = generators.banking_event_stream(seed=9, objects=512, mean_length=10)
-        history_set = ColumnarHistorySet.from_histories(histories, alphabet)
-        payload = history_set.shard_payload(0, len(history_set))
-        events = len(history_set.code_list)
-        assert len(pickle.dumps(payload)) < events  # < 1 byte per event on the wire
-
 
 class TestFusedEngineSurface:
     def test_check_batch_all_selects_names(self):
@@ -163,25 +136,16 @@ class TestFusedEngineSurface:
             engine.check_batch_all([], names=["nope"])
 
     def test_two_engines_with_same_spec_names_never_share_kernels(self):
-        # Worker-side kernels are cached by the task key; two engines using
-        # the same spec *name* for different languages must not collide.
-        from repro.engine import check_columnar_shard, make_shard_task
-
+        # Kernels are cached per engine by spec name and generation; two
+        # engines using the same *name* for different languages must not
+        # collide.
         first = HistoryCheckerEngine()
         first.add_spec("spec", banking.checking_role_inventory())
         second = HistoryCheckerEngine()
         second.add_spec("spec", banking.no_downgrade_inventory())
         histories = [(banking.ROLE_INTEREST, banking.ROLE_REGULAR)] * 4  # IC then RC
 
-        results = []
-        for engine in (first, second):
-            history_set = engine.encode_histories(histories)
-            task = make_shard_task(
-                engine._kernel_for(("spec",)),
-                [("spec", engine.compiled("spec"))],
-                history_set.shard_payload(0, len(history_set)),
-            )
-            results.append(check_columnar_shard(task)["spec"])
+        results = [engine.check_batch("spec", histories) for engine in (first, second)]
         assert results[0] == [True] * 4  # checking allows IC RC
         assert results[1] == [False] * 4  # no_downgrade forbids RC after IC
 

@@ -12,16 +12,14 @@ The contract under test, layer by layer:
 * the durable stream journals **admitted events only** -- recovery replays
   to the enforced session's exact state, and a refused batch leaves the
   WAL byte-identical;
-* ``screen_histories`` (the batch analogue) matches the replay oracle and
-  merges deterministically across a process pool;
+* ``screen_histories`` (the batch analogue) matches the replay oracle;
 * spec re-registration re-validates only objects whose state actually
   moved (``RevalidationReport``), and ``lint_specs`` flags unsatisfiable /
   equivalent / redundant / contradictory constraint sets at registration;
 * the satellite contracts: ``trace_limit`` stops recorded traces from
-  growing once an object hits the doomed sink, ``engine.stats()`` always
-  carries a ``fault_tolerance`` section of a fixed shape, and restoring a
-  snapshot across a re-registration is decided by table *fingerprint*, not
-  generation.
+  growing once an object hits the doomed sink, ``engine.stats()`` has a
+  frozen top-level key set, and restoring a snapshot across a
+  re-registration is decided by table *fingerprint*, not generation.
 """
 
 from __future__ import annotations
@@ -37,12 +35,9 @@ from repro.engine import (
     EnforcementError,
     EnforcementReport,
     HistoryCheckerEngine,
-    ProcessPoolBackend,
-    SerialExecutor,
-    SupervisedExecutor,
-    zeroed_stats,
 )
 from repro.engine.diagnostics import replay
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads import banking, generators
 from repro.workloads.generators import conforming_banking_stream
 
@@ -52,12 +47,12 @@ KINDS = ("fused", "vector") if HAVE_NUMPY else ("fused",)
 ALIEN = banking.RoleSet({"ALIEN_CLASS"})
 
 
-def _suite_engine(kind="fused", seed=101, objects=30, mean_length=12, **kwargs):
+def _suite_engine(kind="fused", seed=101, objects=30, mean_length=12):
     """A banking-suite engine plus mostly-conforming interleaved events."""
     histories, events, suite = conforming_banking_stream(
         seed=seed, objects=objects, mean_length=mean_length
     )
-    engine = HistoryCheckerEngine(kernel=kind, **kwargs)
+    engine = HistoryCheckerEngine(kernel=kind)
     for name, spec in suite.items():
         engine.add_spec(name, spec)
     return engine, histories, events, tuple(sorted(suite))
@@ -278,14 +273,6 @@ def test_screen_histories_matches_replay_oracle(kind):
         assert screened[name] == expected, (kind, name)
 
 
-def test_screen_histories_sharded_merge_is_deterministic():
-    engine, histories, _, names = _suite_engine(batch_size=3, min_shard_events=1)
-    serial = engine.screen_histories(histories)
-    with ProcessPoolBackend(max_workers=2) as pool:
-        for _ in range(2):  # repeated runs: shard order, not arrival order
-            assert engine.screen_histories(histories, executor=pool) == serial
-
-
 # --------------------------------------------------------------------------- #
 # The WAL journals admitted events only
 # --------------------------------------------------------------------------- #
@@ -414,33 +401,15 @@ def test_unlimited_traces_remain_the_default():
 # --------------------------------------------------------------------------- #
 # stats() shape contract
 # --------------------------------------------------------------------------- #
-FAULT_TOLERANCE_KEYS = {
-    "retries",
-    "timeouts",
-    "respawns",
-    "quarantined",
-    "degraded",
-    "shard_failures",
-    "degraded_now",
-    "policy",
-}
+STATS_KEYS = {"specs", "kernel", "alphabet_size", "spec_cache", "kernel_cache", "observability"}
 
 
-def test_stats_always_carries_a_fault_tolerance_section():
-    plain = HistoryCheckerEngine().stats()
-    assert plain["fault_tolerance"] == zeroed_stats()
-    assert set(plain["fault_tolerance"]) == FAULT_TOLERANCE_KEYS
-    assert not plain["fault_tolerance"]["degraded_now"]
-    with SupervisedExecutor(SerialExecutor()) as supervised:
-        section = HistoryCheckerEngine(executor=supervised).stats()["fault_tolerance"]
-        assert set(section) == FAULT_TOLERANCE_KEYS
-
-
-def test_zeroed_stats_returns_fresh_dicts():
-    first, second = zeroed_stats(), zeroed_stats()
-    assert first == second and first is not second
-    first["retries"] = 99
-    assert zeroed_stats()["retries"] == 0
+def test_stats_top_level_keys_are_a_frozen_schema():
+    """Dashboards key on these names: adding or dropping one is a contract
+    change.  Instrumented engines add exactly ``metrics``."""
+    assert set(HistoryCheckerEngine(obs=False).stats()) == STATS_KEYS
+    instrumented = HistoryCheckerEngine(obs=MetricsRegistry("stats")).stats()
+    assert set(instrumented) == STATS_KEYS | {"metrics"}
 
 
 # --------------------------------------------------------------------------- #

@@ -211,6 +211,46 @@ def test_each_checkpoint_syncs_the_directory_after_its_rename_and_before_pruning
     recovered.close()
 
 
+def test_open_durable_syncs_each_directory_it_creates_into_its_parent(tmp_path, monkeypatch):
+    # A directory's entry lives in its parent: until the parent is fsynced,
+    # a power loss can drop a fresh journal, checkpoint 0 included.
+    calls = []
+    real_mkdir, real_fsync = os.mkdir, os.fsync
+
+    def mkdir(path, *args, **kwargs):
+        real_mkdir(path, *args, **kwargs)
+        calls.append(("mkdir", os.fspath(path)))
+
+    def fsync(fd):
+        real_fsync(fd)
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            calls.append(("sync", (info.st_dev, info.st_ino)))
+
+    def synced(path):
+        info = os.stat(path)
+        return ("sync", (info.st_dev, info.st_ino))
+
+    monkeypatch.setattr(os, "mkdir", mkdir)
+    monkeypatch.setattr(os, "fsync", fsync)
+    specs, _events = _case(7)
+    parent, journal = tmp_path / "a", tmp_path / "a" / "b"
+    _engine(specs).open_durable_stream(journal).close()
+    assert calls == [
+        ("mkdir", str(parent)),
+        synced(tmp_path),
+        ("mkdir", str(journal)),
+        synced(parent),
+        synced(journal),  # checkpoint 0's own directory sync
+    ]
+
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    calls.clear()
+    _engine(specs).open_durable_stream(existing).close()
+    assert calls == [synced(existing)]
+
+
 # --------------------------------------------------------------------------- #
 # Corruption: torn and bit-flipped tails, broken checkpoints
 # --------------------------------------------------------------------------- #

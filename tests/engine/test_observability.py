@@ -1,14 +1,13 @@
-"""Observability threaded through the engine: counters, spans, shard merge.
+"""Observability threaded through the engine: counters and spans.
 
 Two contracts dominate:
 
 * **disabled is free-ish** -- an uninstrumented engine resolves ``_obs`` to
-  ``None`` once, kernels carry ``obs=None``, shard tasks keep the exact
-  pre-observability 3-tuple wire shape, and ``trace()`` hands out one
+  ``None`` once, kernels carry ``obs=None``, and ``trace()`` hands out one
   shared no-op context manager (no allocation per call);
-* **enabled is exact** -- every fed event, batch verdict, cache touch,
-  snapshot byte and pool shard shows up in the registry, including the
-  deltas pool workers ship back across the process boundary.
+* **enabled is exact** -- every fed event, batch verdict, cache touch and
+  snapshot byte shows up in the registry, and a batch check leaves a span
+  tree naming its stages.
 """
 
 import random
@@ -16,15 +15,7 @@ import random
 import pytest
 
 from repro import obs
-from repro.engine import HistoryCheckerEngine, ProcessPoolBackend, SerialExecutor
-from repro.engine.batch import (
-    OBS_RESULT_KEY,
-    _WorkerKernelCache,
-    check_columnar_shard,
-    make_shard_task,
-    worker_kernel_cache_stats,
-)
-from repro.obs.spans import TRACER
+from repro.engine import HistoryCheckerEngine
 from repro.workloads import banking
 
 
@@ -70,17 +61,6 @@ class TestDisabledContract:
     def test_disabled_trace_allocates_nothing(self):
         assert obs.trace("a") is obs.trace("b")
         assert obs.current_span() is None
-
-    def test_disabled_shard_tasks_keep_the_legacy_wire_shape(self, checking):
-        engine = HistoryCheckerEngine()
-        engine.add_spec("checking", checking)
-        kernel = engine._kernel_for(("checking",))
-        history_set = engine.encode_histories(random_banking_words(seed=3, count=16))
-        specs = [("checking", engine.compiled("checking"))]
-        task = make_shard_task(kernel, specs, kernel.shard_payload(history_set, 0, 16))
-        assert len(task) == 3
-        result = check_columnar_shard(task)
-        assert OBS_RESULT_KEY not in result
 
     def test_process_switch_governs_new_engines(self, checking):
         obs.enable(obs.MetricsRegistry("switch"))
@@ -179,88 +159,21 @@ class TestEngineCounters:
         assert engine_b is not engine_a
 
 
-class TestShardPropagation:
-    def test_pool_shards_report_spans_and_cache_deltas(self, checking):
-        registry = obs.enable(obs.MetricsRegistry("pool"))
-        engine = HistoryCheckerEngine(batch_size=8, min_shard_events=0)
+class TestSpans:
+    def test_check_batch_all_span_tree_names_its_stages(self, checking):
+        obs.enable(obs.MetricsRegistry("spans"))
+        obs.clear_spans()
+        engine = HistoryCheckerEngine()
         engine.add_spec("checking", checking)
         histories = random_banking_words(seed=13, count=64)
-        serial = engine.check_batch("checking", histories, executor=SerialExecutor())
-        with ProcessPoolBackend(max_workers=2) as pool:
-            parallel = engine.check_batch("checking", histories, executor=pool)
-        assert serial == parallel
-        data = registry.to_dict()
-        shards = data["repro_engine_shards_total"]
-        assert shards >= 2
-        assert data["repro_engine_shard_payload_bytes_total"] > 0
-        hits = data["repro_engine_worker_kernel_cache_hits_total"]
-        misses = data["repro_engine_worker_kernel_cache_misses_total"]
-        assert hits + misses == shards  # every shard reports exactly once
-        assert misses >= 1  # fresh workers must build the kernel at least once
-        assert data["repro_engine_pool_dispatch_seconds"]["count"] == 1
-        # The dispatching trace grew one remote child span per shard.
-        roots = [span for span in obs.recent_spans() if span.name == "engine.check_batch_all"]
-        assert roots
-        dispatch = [child for child in roots[-1].children if child.name == "pool.dispatch"]
-        assert dispatch
-        remote = [child for child in dispatch[0].children if child.remote]
-        assert len(remote) == shards
-        assert all(child.name == "shard.check" for child in remote)
-        assert all(child.duration > 0 for child in remote)
-
-    def test_metrics_only_token_skips_span_grafting(self, checking):
-        engine, registry = instrumented_engine(checking, batch_size=8, min_shard_events=0)
-        assert not TRACER.enabled
-        histories = random_banking_words(seed=17, count=48)
-        with ProcessPoolBackend(max_workers=2) as pool:
-            engine.check_batch("checking", histories, executor=pool)
-        assert obs.recent_spans() == []
-        data = registry.to_dict()
-        assert (
-            data["repro_engine_worker_kernel_cache_hits_total"]
-            + data["repro_engine_worker_kernel_cache_misses_total"]
-            == data["repro_engine_shards_total"]
-        )
-
-    def test_obs_payload_never_leaks_into_verdicts(self, checking):
-        engine, _registry = instrumented_engine(checking, batch_size=8, min_shard_events=0)
-        histories = random_banking_words(seed=19, count=48)
-        with ProcessPoolBackend(max_workers=2) as pool:
-            verdicts = engine.check_batch_all(histories, ["checking"], executor=pool)
-        assert set(verdicts) == {"checking"}
-        assert len(verdicts["checking"]) == len(histories)
-
-
-class TestWorkerKernelCache:
-    def test_lru_evicts_only_the_coldest(self):
-        cache = _WorkerKernelCache(maxsize=2)
-        cache.put(("a",), "A")
-        cache.put(("b",), "B")
-        assert cache.get(("a",)) == "A"  # refresh a
-        cache.put(("c",), "C")  # evicts b, the coldest
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) == "A"
-        assert cache.get(("c",)) == "C"
-        stats = cache.stats()
-        assert stats["evictions"] == 1
-        assert stats["size"] == 2
-        assert stats["hits"] == 3
-        assert stats["misses"] == 1
-
-    def test_process_stats_surface(self):
-        stats = worker_kernel_cache_stats()
-        assert set(stats) == {"hits", "misses", "evictions", "size", "maxsize"}
-
-
-class TestExecutorBinding:
-    def test_serial_executor_observes_when_bound(self, checking):
-        engine, registry = instrumented_engine(checking, batch_size=4, min_shard_events=0)
-        # The engine's own SerialExecutor short-circuits sharding; hand a
-        # bound serial backend in explicitly to exercise the observed path.
-        backend = SerialExecutor()
-        backend.bind_obs(engine._obs)
-        backend.run(len, [(1, 2), (3,)])
-        assert registry.to_dict()["repro_engine_pool_dispatch_seconds"]["count"] == 1
+        encoded_set = engine.encode_histories(histories)
+        engine.check_batch_all(histories)
+        engine.check_batch_all(encoded_set)
+        raw, encoded = obs.recent_spans()
+        assert [child.name for child in raw.children] == ["encode.histories", "kernel.check"]
+        # A pre-encoded set skips the encode stage.
+        assert [child.name for child in encoded.children] == ["kernel.check"]
+        assert encoded.children[0].meta == {"kind": engine._kernel_kind()}
 
 
 class TestCli:

@@ -1,12 +1,12 @@
-"""The numpy vector kernel: dtype edges, skew fallback, raw payloads.
+"""The numpy vector kernel: dtype edges, skew fallback, column packing.
 
 The differential fuzz suite pins the vector kernel against the other five
 implementations on random cases; this file drives the corners those cases
 cannot reach deliberately -- state counts sitting exactly on the
 uint8/uint16/uint32 dtype boundaries (hand-built counter automata, since no
 random regex minimizes to exactly 256 states), batches skewed enough to
-trip the scalar peel fallback, the no-numpy degradation contract, the raw
-buffer-protocol shard wire format, and the events-per-shard pool sizing.
+trip the scalar peel fallback, the no-numpy degradation contract, and the
+snapshot column packing.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from array import array
 
 import pytest
 
-from repro.engine import (
-    MIN_SHARD_EVENTS,
-    HistoryCheckerEngine,
-    check_columnar_shard,
-    make_shard_task,
-    shard_bounds_by_events,
-)
+from repro.engine import HistoryCheckerEngine
 from repro.engine.compiler import CompiledSpec
 from repro.workloads import generators
 
@@ -33,8 +27,6 @@ from repro.engine.vector import (  # noqa: E402  (import order: numpy skip first
     VectorKernel,
     _dtype_for,
     pack_index_array,
-    shard_payload_raw,
-    unpack_shard_arrays,
 )
 
 
@@ -222,26 +214,6 @@ def test_engine_rejects_unknown_kernel_kind():
         HistoryCheckerEngine(kernel="simd")
 
 
-def test_raw_shard_payload_round_trip():
-    engine = HistoryCheckerEngine(kernel="vector")
-    engine.add_spec("count", _counter_nfa(4))
-    histories = [tuple(["s0"] * length) for length in (0, 1, 4, 5, 9)]
-    history_set = engine.encode_histories(histories)
-    payload = shard_payload_raw(history_set, 1, 4)
-    assert payload[0] == 3
-    assert payload[1][0] == "nd" and payload[2][0] == "nd"
-    lengths, codes = unpack_shard_arrays(payload)
-    assert lengths.tolist() == [1, 4, 5]
-    assert len(codes) == 10
-    # The worker entry point dispatches on the "nd" tag and rebuilds a
-    # worker-local VectorKernel from the key's kind slot.
-    kernel = engine._kernel_for(("count",))
-    task = make_shard_task(kernel, [("count", engine.compiled("count"))], payload)
-    assert check_columnar_shard(task) == {"count": [False, True, False]}
-    serial = engine.check_batch_all(histories)
-    assert serial["count"][1:4] == [False, True, False]
-
-
 def test_pack_index_array_matches_list_packing():
     from repro.engine.batch import _pack_column, _unpack_column
 
@@ -250,42 +222,6 @@ def test_pack_index_array_matches_list_packing():
         packed = pack_index_array(arr)
         assert _unpack_column(packed) == values
         assert packed[0] == _pack_column(values)[0]  # same narrowing ladder
-
-
-def test_shard_bounds_by_events():
-    # Ten histories of 3 events each; batch_size alone would cut every 2.
-    offsets = array("q", range(0, 33, 3))
-    assert shard_bounds_by_events(offsets, 2, min_events=0) == [
-        (0, 2), (2, 4), (4, 6), (6, 8), (8, 10),
-    ]
-    # An events floor of 9 merges them into >=3-history shards.
-    assert shard_bounds_by_events(offsets, 2, min_events=9) == [(0, 3), (3, 6), (6, 9), (9, 10)]
-    # A floor larger than the batch yields a single shard -- the engine then
-    # skips the pool entirely (tiny batches stop paying dispatch overhead).
-    assert shard_bounds_by_events(offsets, 2, min_events=1000) == [(0, 10)]
-    assert shard_bounds_by_events(array("q", [0]), 2) == []
-    assert MIN_SHARD_EVENTS > 0
-
-
-def test_tiny_batches_skip_the_pool(monkeypatch):
-    """With the default events floor, a small batch runs serially even when
-    a pool executor is configured."""
-    from repro.engine import executor as executor_module
-
-    calls = []
-
-    class _Recorder:
-        def run(self, fn, tasks):
-            calls.append(len(tasks))
-            return [fn(task) for task in tasks]
-
-    engine = HistoryCheckerEngine(executor=_Recorder(), batch_size=2)
-    engine.add_spec("count", _counter_nfa(3))
-    histories = [("s0",) * 3 for _ in range(6)]  # 18 events << MIN_SHARD_EVENTS
-    verdicts = engine.check_batch_all(histories)
-    assert verdicts["count"] == [True] * 6
-    assert calls == []  # never dispatched
-    assert executor_module.MIN_SHARD_EVENTS == MIN_SHARD_EVENTS
 
 
 if __name__ == "__main__":

@@ -6,13 +6,7 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_counter_deltas,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounters:
@@ -163,20 +157,3 @@ class TestExposition:
         registry.counter("a_total", "Documented once")
         registry.counter("a_total")  # later get-or-create without help
         assert "# HELP a_total Documented once" in registry.render_text()
-
-
-class TestCrossProcessMerge:
-    def test_merge_counter_deltas(self):
-        registry = MetricsRegistry("t")
-        registry.counter("hits_total", cache="worker").inc(1)
-        merge_counter_deltas(
-            registry,
-            [
-                ("hits_total", {"cache": "worker"}, 4),
-                ("misses_total", {"cache": "worker"}, 2),
-                ("noise_total", {}, 0),  # zero deltas do not mint instruments
-            ],
-        )
-        assert registry.counter("hits_total", cache="worker").value() == 5
-        assert registry.counter("misses_total", cache="worker").value() == 2
-        assert "noise_total" not in registry.to_dict()

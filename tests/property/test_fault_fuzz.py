@@ -1,9 +1,9 @@
 """Differential chaos fuzzing: crash, corrupt, kill -- verdicts never change.
 
-Four seeded suites (100+ cases per tier-1 run; ``--fuzz-rounds`` multiplies
-the counts for the nightly chaos job), all pinned to the same invariant:
-whatever faults are injected, the surviving session's verdicts are
-**identical** to an uninterrupted single-process oracle fed the same
+Three seeded suites (~100 cases per tier-1 run; ``--fuzz-rounds``
+multiplies the counts for the nightly chaos job), all pinned to the same
+invariant: whatever faults are injected, the surviving session's verdicts
+are **identical** to an uninterrupted single-process oracle fed the same
 durable prefix.
 
 * **WAL crash/recover** -- seeded durable sessions crash at a random point
@@ -17,20 +17,25 @@ durable prefix.
   recovered at every record boundary.  Half the crash cases feed through
   the enforcement gate (``enforce=True``), on either kernel: the journal
   then holds admitted events only, so the oracle is fed the admitted events
-  of the durable prefix;
+  of the durable prefix.  Two thirds of the cases also arm one in-process
+  fault site (:mod:`repro.testing.faults`) while feeding: a ``raise`` at
+  ``journal.append`` must leave the session untouched and let the batch be
+  fed again, a ``flip`` there must still recover to an exact prefix, and a
+  ``flip`` or ``truncate`` at ``journal.checkpoint`` must lose no event
+  (recovery falls back to the retained generation when the newest
+  checkpoint is the corrupt one).  ``truncate`` is not armed
+  at ``journal.append``: a zero-byte cut drops a whole record from the
+  middle of a segment, which neither a crash nor a power loss can do, and
+  records carry no sequence number to detect it;
 * **snapshot wire fuzz** -- random prefixes, bit flips, garbage and
   trailing junk over real snapshot blobs must raise
   :class:`~repro.engine.snapshot.SnapshotError` or restore cleanly --
   never ``struct.error``, ``zlib.error``, pickle errors or ``MemoryError``;
-* **supervised pool chaos** -- worker kills, injected exceptions and hung
-  shards (via :mod:`repro.testing.faults` inside the *production* shard
-  function) under :class:`~repro.engine.supervisor.SupervisedExecutor`
-  must still return the serial oracle's batch verdicts;
 * **SIGKILL mid-stream** -- a subprocess feeding a durable session is
   SIGKILLed between batches; the parent recovers the journal, checks the
   durable prefix byte-for-byte against the oracle, resumes the stream, and
-  (in the combined acceptance case) re-checks the final verdicts through a
-  supervised pool whose worker is killed mid-dispatch.
+  (in the combined acceptance case) re-checks the final verdicts against
+  ``check_batch_all`` over the same histories.
 """
 
 from __future__ import annotations
@@ -46,16 +51,10 @@ import pytest
 
 import repro
 from repro.core.rolesets import enumerate_role_sets
-from repro.engine import (
-    HAVE_NUMPY,
-    FaultPolicy,
-    HistoryCheckerEngine,
-    ProcessPoolShardExecutor,
-    SnapshotError,
-    SupervisedExecutor,
-)
+from repro.engine import HAVE_NUMPY, HistoryCheckerEngine, SnapshotError
 from repro.engine.journal import _segment_path, _SegmentReader
 from repro.testing.faults import (
+    FaultError,
     FaultInjector,
     FaultSpec,
     bit_flip,
@@ -70,7 +69,6 @@ BASE_SEED = 0xFA17
 
 WAL_CASES = 60
 SNAPSHOT_CASES = 30
-POOL_CASES = 12
 SIGKILL_CASES = 3
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -142,6 +140,15 @@ def _feed_admitted(durable, chunk, enforce):
 # --------------------------------------------------------------------------- #
 # Suite 1: WAL crash / corrupt / recover
 # --------------------------------------------------------------------------- #
+#: The in-process faults a crash case may arm while feeding: ``(site, action)``.
+_FEED_FAULTS = (
+    ("journal.append", "raise"),
+    ("journal.append", "flip"),
+    ("journal.checkpoint", "flip"),
+    ("journal.checkpoint", "truncate"),
+)
+
+
 def _run_wal_crash_case(seed, directory):
     rng = random.Random(seed)
     specs, events = _stream_case(seed)
@@ -156,7 +163,9 @@ def _run_wal_crash_case(seed, directory):
     gate = random.Random(seed ^ 0x6A7E)
     enforce = gate.random() < 0.5
     kind = "vector" if HAVE_NUMPY and gate.random() < 0.5 else "fused"
-    tag = f"seed={seed} enforce={enforce} kernel={kind}"
+    # So is the armed fault, so the draws above stay as they were too.
+    fault = random.Random(f"{seed}:fault").choice((None, None) + _FEED_FAULTS)
+    tag = f"seed={seed} enforce={enforce} kernel={kind} fault={fault}"
     listing = _unordered_listing if enforce else _listing
 
     durable = _engine(specs, kind).open_durable_stream(
@@ -164,17 +173,41 @@ def _run_wal_crash_case(seed, directory):
     )
     cut = rng.randrange(0, len(events) + 1)
     admitted = []
-    for start in range(0, cut, batch):
-        admitted += _feed_admitted(durable, events[start : min(start + batch, cut)], enforce)
+    injector = FaultInjector([FaultSpec(*fault, times=1)] if fault else [], seed=seed)
+    with inject(injector):
+        for start in range(0, cut, batch):
+            chunk = events[start : min(start + batch, cut)]
+            before = listing(durable.stream)
+            try:
+                admitted += _feed_admitted(durable, chunk, enforce)
+            except FaultError:
+                # The append failed before the write: nothing was applied,
+                # and the same batch goes through on the next try.
+                assert durable.events_seen == len(admitted), tag
+                assert listing(durable.stream) == before, tag
+                admitted += _feed_admitted(durable, chunk, enforce)
     assert durable.events_seen == len(admitted), tag
+    if fault is not None:
+        # Every admitted event went through an append; open_durable's own
+        # checkpoint 0 does not pass the checkpoint site.
+        site = fault[0]
+        reached = admitted if site == "journal.append" else durable.stats()["checkpoints"]
+        assert injector.fired.get(site, 0) == (1 if reached else 0), tag
+    # What a fired flip or truncate left on disk: a corrupt record cuts
+    # recovery short at that record (an exact prefix); a corrupt checkpoint
+    # spends the fallback to the retained generation.
+    corrupted = bool(injector.fired) and fault[1] != "raise"
     if rng.random() < 0.5:
         durable.close()  # clean shutdown; else: abandoned handle, a crash
 
     scenario = rng.choice(["clean", "clean", "tear", "flip", "checkpoint"])
     checkpoints = sorted(n for n in os.listdir(directory) if n.endswith(".snap"))
     segments = sorted(n for n in os.listdir(directory) if n.endswith(".log"))
-    if scenario == "checkpoint" and len(checkpoints) < 2:
-        scenario = "clean"  # a lone generation cannot fall back
+    if scenario == "checkpoint" and (len(checkpoints) < 2 or corrupted):
+        # A lone generation cannot fall back, nor can one whose fallback the
+        # fault spent (a corrupt older checkpoint, or a corrupt record in the
+        # segment the fallback would replay).
+        scenario = "clean"
     if scenario == "tear":
         tear_file(os.path.join(directory, segments[-1]), drop=rng.randrange(1, 48))
     elif scenario == "flip":
@@ -186,7 +219,7 @@ def _run_wal_crash_case(seed, directory):
         directory, checkpoint_every=checkpoint_every, retain=2
     )
     fed = recovered.events_seen
-    if scenario in ("clean", "checkpoint"):
+    if scenario in ("clean", "checkpoint") and not (corrupted and fault[0] == "journal.append"):
         # Every append was flushed before the crash; nothing may vanish.
         assert fed == len(admitted), (tag, scenario)
         assert recovered.truncated_records == 0, (tag, scenario)
@@ -308,54 +341,7 @@ def test_snapshot_wire_fuzz_never_leaks_parser_errors(fuzz_rounds):
 
 
 # --------------------------------------------------------------------------- #
-# Suite 3: supervised pool chaos
-# --------------------------------------------------------------------------- #
-def _run_pool_chaos_case(seed, scope_dir):
-    rng = random.Random(seed)
-    specs, histories = _random_case(seed)
-    expected = _engine(specs).check_batch_all(histories)
-    tag = f"seed={seed}"
-
-    action = rng.choice(["kill", "raise", "raise", "delay"])
-    if action == "delay":
-        spec = FaultSpec("worker.shard", "delay", times=1, delay=0.8)
-        policy = FaultPolicy(
-            max_attempts=4, shard_timeout=0.25, backoff_base=0.001, max_respawns=3, seed=seed
-        )
-    else:
-        spec = FaultSpec("worker.shard", action, times=rng.choice([1, 2]))
-        policy = FaultPolicy(max_attempts=4, backoff_base=0.001, max_respawns=3, seed=seed)
-    injector = FaultInjector([spec], seed=seed, scope_dir=scope_dir)
-    init_fn, init_args = injector.initializer()
-    inner = ProcessPoolShardExecutor(max_workers=2, initializer=init_fn, initargs=init_args)
-    with HistoryCheckerEngine(
-        executor=SupervisedExecutor(inner, policy),
-        batch_size=2,
-        min_shard_events=1,
-        kernel="fused",
-    ) as engine:
-        for name, nfa in specs.items():
-            engine.add_spec(name, nfa)
-        with inject(injector):
-            assert engine.check_batch_all(histories) == expected, (tag, action)
-        stats = engine.stats()["fault_tolerance"]
-        if action == "kill":
-            assert stats["respawns"] >= 1, tag
-        elif action == "delay":
-            assert stats["timeouts"] >= 1, tag
-        else:
-            assert stats["retries"] + stats["quarantined"] >= 1, tag
-
-
-def test_supervised_pool_chaos_fuzz(fuzz_rounds, tmp_path):
-    for case in range(POOL_CASES * fuzz_rounds):
-        scope = tmp_path / f"scope-{case}"
-        scope.mkdir()
-        _run_pool_chaos_case(BASE_SEED + 80_000 + case, str(scope))
-
-
-# --------------------------------------------------------------------------- #
-# Suite 4: SIGKILL mid-stream, recover in the parent
+# Suite 3: SIGKILL mid-stream, recover in the parent
 # --------------------------------------------------------------------------- #
 _CHILD_SCRIPT = """\
 import os, signal, sys
@@ -394,7 +380,7 @@ def _sigkill_child(seed, directory, cut, batch):
     return completed
 
 
-def _run_sigkill_case(seed, directory, scope_dir, with_pool_chaos):
+def _run_sigkill_case(seed, directory, with_batch_check):
     rng = random.Random(seed)
     specs, events = _stream_case(seed)
     batch = rng.choice([2, 3, 5])
@@ -411,30 +397,12 @@ def _run_sigkill_case(seed, directory, scope_dir, with_pool_chaos):
     assert final == _stream_oracle(specs, events), f"seed={seed}"
     recovered.close()
 
-    if not with_pool_chaos:
+    if not with_batch_check:
         return
-    # The combined acceptance scenario: the same case's batch verdicts via a
-    # supervised pool whose worker is killed mid-dispatch must agree with
-    # the recovered-and-resumed stream.
+    # The combined acceptance scenario: the same case's batch verdicts must
+    # agree with the recovered-and-resumed stream.
     _specs, histories = _random_case(seed)
-    injector = FaultInjector(
-        [FaultSpec("worker.shard", "kill", times=1)], seed=seed, scope_dir=scope_dir
-    )
-    init_fn, init_args = injector.initializer()
-    inner = ProcessPoolShardExecutor(max_workers=2, initializer=init_fn, initargs=init_args)
-    with HistoryCheckerEngine(
-        executor=SupervisedExecutor(
-            inner, FaultPolicy(max_attempts=3, backoff_base=0.001, seed=seed)
-        ),
-        batch_size=2,
-        min_shard_events=1,
-        kernel="fused",
-    ) as pool_engine:
-        for name, nfa in specs.items():
-            pool_engine.add_spec(name, nfa)
-        with inject(injector):
-            batch_verdicts = pool_engine.check_batch_all(histories)
-        assert pool_engine.stats()["fault_tolerance"]["respawns"] >= 1, f"seed={seed}"
+    batch_verdicts = _engine(specs).check_batch_all(histories)
     for name, verdicts in batch_verdicts.items():
         streamed = [final[name][index] for index in range(len(histories))]
         assert streamed == verdicts, (f"seed={seed}", name)
@@ -442,13 +410,10 @@ def _run_sigkill_case(seed, directory, scope_dir, with_pool_chaos):
 
 def test_sigkill_mid_stream_recovers_to_oracle_verdicts(fuzz_rounds, tmp_path):
     for case in range(SIGKILL_CASES * fuzz_rounds):
-        scope = tmp_path / f"scope-{case}"
-        scope.mkdir()
         _run_sigkill_case(
             BASE_SEED + 90_000 + case,
             str(tmp_path / f"journal-{case}"),
-            str(scope),
-            with_pool_chaos=case == 0,
+            with_batch_check=case == 0,
         )
 
 
