@@ -137,6 +137,25 @@ def _q_array(values: Sequence[int]) -> array:
     return column
 
 
+class _IdCodes(dict):
+    """The dict-mode id → code table: looking up an id it lacks interns it.
+
+    ``__missing__`` hands the id to the owning interner's rule
+    (:meth:`ObjectInterner._dict_code`), which stores and returns the code,
+    so ``map(table.__getitem__, column)`` encodes a column in one C pass
+    that runs Python only for ids never seen before.  ``get`` and ``in``
+    never intern.
+    """
+
+    __slots__ = ("_miss",)
+
+    def __init__(self, miss) -> None:
+        self._miss = miss
+
+    def __missing__(self, object_id: ObjectId) -> int:
+        return self._miss(object_id)
+
+
 class ObjectInterner:
     """Dense integer codes for stream objects, append-only like the alphabet.
 
@@ -170,12 +189,18 @@ class ObjectInterner:
     first sight.  Leaving identity mode allocates nothing per slot, and no
     code handed out earlier ever changes: ids inside the frozen universe
     keep their identity codes, and any number equal to one of them (``2.0``
-    for ``2``) names the same object, as a dict key would.
+    for ``2``) names the same object, as a dict key would.  The code table
+    interns on a miss, so a dict-mode column is encoded by one C-level
+    ``map`` through it: Python runs once per id the interner has never seen,
+    and a batch of known ids costs one dict lookup each, whatever the
+    population.
 
     :meth:`intern` and :meth:`intern_column` agree id for id: a column
     interned whole or one id at a time hands out the same codes and leaves
     the same state, so codes never depend on how a stream was cut into
-    batches.
+    batches.  Interning a column is atomic: a column that raises part way
+    (an unhashable id) leaves the interner exactly as it was -- same codes,
+    same universe, same mode -- and the exception propagates unchanged.
 
     **Presence.**  Holding a code is not being fed: gap ids, ids of a
     ``reject_batch`` refusal and ids of a pre-encoded batch that was never
@@ -197,8 +222,8 @@ class ObjectInterner:
         #: Identity codes: every code below this bound is the int id itself.
         self._universe = 0
         #: Dict-interned ids, plus the identity ids met in dict mode (cached),
-        #: to their codes.
-        self._codes: Dict[ObjectId, int] = {}
+        #: to their codes; a lookup miss interns the id (:meth:`_dict_code`).
+        self._codes: Dict[ObjectId, int] = _IdCodes(self._dict_code)
         #: Dict-interned ids in code order; ``_objects[i]`` has code
         #: ``_universe + i``.  Empty exactly while in identity mode.
         self._objects: List[ObjectId] = []
@@ -217,11 +242,11 @@ class ObjectInterner:
                 if value >= self._universe:
                     self._universe = value + 1
                 return value
-        code = self._codes.get(object_id)
-        return self._dict_code(object_id) if code is None else code
+        return self._codes[object_id]
 
     def _dict_code(self, object_id: ObjectId) -> int:
-        """The code of an id the code dict does not hold yet (dict mode)."""
+        """The code of an id the code table does not hold yet (dict mode);
+        the table's ``__missing__``."""
         universe = self._universe
         value = _int_value(object_id) if universe else -1
         if 0 <= value < universe:
@@ -239,24 +264,47 @@ class ObjectInterner:
 
     def _intern_ids(self, column: Sequence[ObjectId]):
         """The column's codes: its own ``array('q')`` copy when every id is an
-        identity code, otherwise a list."""
+        identity code, otherwise a list.
+
+        Atomic: on any exception the interner is rolled back to its state on
+        entry (:meth:`_rollback`) and the exception propagates.
+        """
         if not column:
             return []
-        if not self._objects:
-            ids = self._identity_ids(column)
-            if ids is not None:
-                return ids
-            # Some id leaves identity mode: the ids before it are still their
-            # own codes, exactly as interning them one at a time would say.
-            intern = self.intern
-            codes = []
-            for position, object_id in enumerate(column):
-                codes.append(intern(object_id))
-                if self._objects:
-                    codes.extend(self._dict_ids(column[position + 1 :]))
-                    break
-            return codes
-        return self._dict_ids(column)
+        universe, count = self._universe, len(self._objects)
+        try:
+            if not count:
+                ids = self._identity_ids(column)
+                if ids is not None:
+                    return ids
+                # Some id leaves identity mode: the ids before it are still
+                # their own codes, exactly as interning them one at a time
+                # would say.
+                intern = self.intern
+                codes = []
+                for position, object_id in enumerate(column):
+                    codes.append(intern(object_id))
+                    if self._objects:
+                        codes.extend(map(self._codes.__getitem__, column[position + 1 :]))
+                        break
+                return codes
+            return list(map(self._codes.__getitem__, column))
+        except BaseException:
+            self._rollback(universe, count)
+            raise
+
+    def _rollback(self, universe: int, count: int) -> None:
+        """Forget every code handed out since the interner held ``universe``
+        identity codes and ``count`` dict ids."""
+        objects = self._objects
+        codes = self._codes
+        if count:
+            for object_id in objects[count:]:
+                codes.pop(object_id, None)
+        else:
+            codes.clear()  # back in identity mode, which keeps no table
+        del objects[count:]
+        self._universe = universe
 
     def _identity_ids(self, column: Sequence[ObjectId]) -> Optional[array]:
         """The column as ``array('q')`` when every id is an in-bound int id."""
@@ -272,22 +320,6 @@ class ObjectInterner:
         ids = array("q")
         ids.frombytes(memoryview(unsigned).cast("B"))
         return ids
-
-    def _dict_ids(self, column: Sequence[ObjectId]) -> List[int]:
-        """Dict-mode codes for a column: new ids interned in first-sight order."""
-        codes = self._codes
-        objects = self._objects
-        universe = self._universe
-        # dict.fromkeys, not set(): first-appearance order, so the codes
-        # handed out below do not depend on the process hash seed.
-        for object_id in dict.fromkeys(column):
-            if object_id not in codes:
-                if universe:
-                    self._dict_code(object_id)
-                else:
-                    codes[object_id] = len(objects)
-                    objects.append(object_id)
-        return list(map(codes.__getitem__, column))
 
     def code_of(self, object_id: ObjectId, default: int = -1) -> int:
         """The existing code of ``object_id``, or ``default`` -- never interns.
@@ -403,9 +435,9 @@ class ObjectInterner:
             raise ValueError(f"unknown object-interner snapshot kind {kind!r}")
         interner._universe = universe
         interner._objects = objects
-        # dict(zip(...)) builds the inverse map in C -- on a 10^5-object
+        # update(zip(...)) builds the inverse map in C -- on a 10^5-object
         # snapshot this is the single hottest line of a restore.
-        interner._codes = dict(zip(objects, range(universe, universe + len(objects))))
+        interner._codes.update(zip(objects, range(universe, universe + len(objects))))
         if len(interner._codes) != len(interner._objects):
             raise ValueError("an object-id snapshot lists one id twice")
         return interner
@@ -554,15 +586,23 @@ class EncodedBatch:
 
         Unseen symbols are interned into ``alphabet`` (append-only, so codes
         already handed out never move); unseen objects are interned into
-        ``objects`` (a fresh interner when not given).  The alphabet's size
-        is the batch's ``max_code`` bound, so no pass re-scans the codes.
+        ``objects`` (a fresh interner when not given).  Symbols are encoded
+        straight off the event tuples, with no intermediate symbol list.
+        The alphabet's size is the batch's ``max_code`` bound, so no pass
+        re-scans the codes.  A batch that raises in either column leaves
+        both the interner and the alphabet as they were.
         """
         events = events if isinstance(events, (list, tuple)) else list(events)
         interner = objects if objects is not None else ObjectInterner()
         if not events:
             return cls([], [], interner, alphabet)
+        universe, count = interner._universe, len(interner._objects)
         ids = interner._intern_ids(list(map(itemgetter(0), events)))
-        codes = alphabet.encode_column(list(map(itemgetter(1), events)))
+        try:
+            codes = alphabet.encode_column(map(itemgetter(1), events))
+        except BaseException:
+            interner._rollback(universe, count)
+            raise
         return cls(ids, codes, interner, alphabet, max_code=len(alphabet) - 1)
 
     def __len__(self) -> int:
@@ -638,12 +678,13 @@ class ColumnarHistorySet:
     def from_histories(
         cls, histories: Sequence[Sequence[Symbol]], alphabet: RoleSetAlphabet
     ) -> "ColumnarHistorySet":
-        """Encode every history once against the shared alphabet.
+        """Encode every history once against the shared alphabet, in one pass
+        over the chained histories (no intermediate symbol list).
 
         The alphabet's size is the set's ``max_code`` bound, so no pass
         re-scans the codes.
         """
-        code_list = alphabet.encode_column(list(chain.from_iterable(histories)))
+        code_list = alphabet.encode_column(chain.from_iterable(histories))
         offsets = _q_array(list(accumulate(map(len, histories), initial=0)))
         return cls(code_list, offsets, alphabet, max_code=len(alphabet) - 1)
 
@@ -1024,6 +1065,8 @@ class FusedKernel:
         state indices.  Later events of the same object screen against the
         state *without* the rejected event -- exactly the ``reject_event``
         skip-and-continue semantics.  Returns ``(new columns, rejections)``.
+        Kernel counters move as for :meth:`advance_all`, every screened
+        event counted.
         """
         copies = [list(column) for column in columns]
         positions: List[int] = []
@@ -1032,6 +1075,10 @@ class FusedKernel:
         states: List[List[int]] = [[] for _ in copies]
         id_list = batch.id_list
         code_list = batch.code_list
+        obs = self.obs
+        if obs is not None and id_list:
+            obs.batches_total.inc()
+            obs.events_total.inc(len(id_list))
         if len(copies) == 1:
             column = copies[0]
             alive = self.groups[0].alive

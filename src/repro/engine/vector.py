@@ -81,6 +81,12 @@ PEEL_CHUNK = 8192
 #: advance only the handful of objects flooding the chunk.
 PEEL_DEPTH_LIMIT = 32
 
+#: Slots of the peel plan's first-occurrence scratch (a power of two).  Ids
+#: below it index the scratch directly; larger ids share slots by their low
+#: bits, so a plan never allocates per slot of the identity universe.  Four
+#: slots per chunk event keep sharing (which only costs extra rounds) rare.
+PEEL_SLOTS = 4 * PEEL_CHUNK
+
 
 def _dtype_for(n_states: int):
     """The narrowest unsigned dtype holding state indices ``0..n_states-1``."""
@@ -357,23 +363,15 @@ class VectorKernel(FusedKernel):
             column = columns[gi]
             if column.dtype != tab.table.dtype:
                 column = columns[gi] = column.astype(tab.table.dtype)
-            if (
-                tab.sink_index >= 0
-                and max_id < len(column)
-                and bool((column == tab.sink_index).all())
-            ):
+            sink = tab.sink_index
+            if sink >= 0 and max_id < len(column) and _all_on_sink(column, ids, sink):
                 if obs is not None:
                     obs.sink_skips.inc()
                 continue  # whole population doomed for every spec of the group
             active.append(gi)
         if not active:
             return count
-        if obs is not None:
-            if batch._np_plan is not None and batch._np_plan[0] == PEEL_CHUNK:
-                obs.plan_cache_hits.inc()
-            else:
-                obs.plan_cache_misses.inc()
-        plan = _batch_plan(batch, ids, max_id)
+        plan = _counted_plan(obs, batch, ids, max_id, len(active))
         width = self.width
         for gi in active:
             flat = self._tables[gi].table.ravel()
@@ -383,12 +381,6 @@ class VectorKernel(FusedKernel):
                     column[objects] = flat[_flat_index(column[objects], width, symbol_codes)]
                 else:
                     self._advance_scalar(gi, column, objects, symbol_codes)
-        if obs is not None:
-            # The aggregates were computed once when the plan was built.
-            gathers, scalar = batch._np_plan[2]
-            obs.gather_rounds.inc(gathers * len(active))
-            if scalar:
-                obs.scalar_fallback_events.inc(scalar * len(active))
         return count
 
     def _advance_scalar(self, group_index: int, column, objects, symbol_codes) -> None:
@@ -445,8 +437,13 @@ class VectorKernel(FusedKernel):
         current states and scatters once -- a round costs one flag gather
         and one ``flatnonzero`` per group over the plain feed, plus
         O(#rejections).  The refusals stay ndarray columns, sorted once at
-        the end.
+        the end.  Kernel counters move as for :meth:`advance_all`, every
+        screened event counted.
         """
+        obs = self.obs
+        if obs is not None and len(batch):
+            obs.batches_total.inc()
+            obs.events_total.inc(len(batch))
         n_groups = len(self.groups)
         tabs = []
         copies: List = []
@@ -492,7 +489,7 @@ class VectorKernel(FusedKernel):
         ids = _id_array(batch)
         if batch._max_id is None:
             batch._max_id = int(ids.max())
-        plan = _batch_plan(batch, ids, batch.max_id)
+        plan = _counted_plan(self.obs, batch, ids, batch.max_id, len(tabs))
         group_range = range(len(tabs))
         width = self.width
         flats = [tab.table.ravel() for tab in tabs]
@@ -677,6 +674,23 @@ class VectorKernel(FusedKernel):
         return f"VectorKernel({len(self.names)} specs, states {sizes})"
 
 
+def _all_on_sink(column, ids, sink: int) -> bool:
+    """Whether every object of ``column`` sits on the doomed ``sink`` state.
+
+    The doomed-population early exit asks this of every group on every
+    batch, so a live object among the batch's own ``ids`` settles it first:
+    the batch's first object, then the whole batch when it is smaller than
+    the population.  The population itself is scanned only when all of
+    those are doomed, so a batch never pays for a sparse identity universe
+    while it carries a live object, nor a large batch for its own length.
+    """
+    if column[ids[0]] != sink:
+        return False
+    if len(ids) < len(column) and not (column[ids] == sink).all():
+        return False
+    return bool((column == sink).all())
+
+
 def _batch_plan(batch: EncodedBatch, ids, max_id: int) -> List[Tuple]:
     """The batch's peel plan: ``(vectorized, objects, codes, positions)`` entries.
 
@@ -691,6 +705,15 @@ def _batch_plan(batch: EncodedBatch, ids, max_id: int) -> List[Tuple]:
     (``intp``), which the enforcement gate reports rejections by; the plain
     feed never touches them.
 
+    The first-occurrence scratch has at most :data:`PEEL_SLOTS` slots, so a
+    plan costs what its batch holds, never the identity universe.  Ids below
+    :data:`PEEL_SLOTS` index it directly; a batch with a larger id indexes
+    it by ``id & (PEEL_SLOTS - 1)``.  Objects sharing a slot then share one
+    peel per round: the slot's earliest pending event goes, the others wait.
+    A shared slot can only delay an event to a later round, never reorder
+    one object's events, because an object always lands in the same slot and
+    its earliest pending event is the earliest of its own that the slot holds.
+
     The plan depends only on the batch's immutable id/code columns, so it is
     cached on the batch -- together with its observability aggregates
     ``(vectorized rounds, scalar-fallback events)``, so instrumented feeds
@@ -701,7 +724,8 @@ def _batch_plan(batch: EncodedBatch, ids, max_id: int) -> List[Tuple]:
     if cached is not None and cached[0] == PEEL_CHUNK:
         return cached[1]
     codes = _code_array(batch)
-    pos = np.empty(max_id + 1, dtype=np.intp)
+    pos = np.empty(min(max_id + 1, PEEL_SLOTS), dtype=np.intp)
+    fold = max_id >= PEEL_SLOTS
     plan: List[Tuple] = []
     rounds = 0
     scalar_events = 0
@@ -715,8 +739,9 @@ def _batch_plan(batch: EncodedBatch, ids, max_id: int) -> List[Tuple]:
                 plan.append((False, cur_ids, cur_codes, start + idx))
                 scalar_events += len(cur_ids)
                 break
-            pos[cur_ids[::-1]] = idx[::-1]  # last write wins = first occurrence
-            first = pos[cur_ids] == idx
+            slots = cur_ids & (PEEL_SLOTS - 1) if fold else cur_ids
+            pos[slots[::-1]] = idx[::-1]  # last write wins = first occurrence
+            first = pos[slots] == idx
             objects = cur_ids[first]
             plan.append((True, objects, cur_codes[first], start + idx[first]))
             rounds += 1
@@ -731,10 +756,29 @@ def _batch_plan(batch: EncodedBatch, ids, max_id: int) -> List[Tuple]:
     return plan
 
 
+def _counted_plan(obs, batch: EncodedBatch, ids, max_id: int, passes: int) -> List[Tuple]:
+    """:func:`_batch_plan`, counted on the kernel instruments ``obs`` (when
+    not ``None``) for ``passes`` group passes over it."""
+    if obs is None:
+        return _batch_plan(batch, ids, max_id)
+    if batch._np_plan is not None and batch._np_plan[0] == PEEL_CHUNK:
+        obs.plan_cache_hits.inc()
+    else:
+        obs.plan_cache_misses.inc()
+    plan = _batch_plan(batch, ids, max_id)
+    # The aggregates were computed once when the plan was built.
+    gathers, scalar = batch._np_plan[2]
+    obs.gather_rounds.inc(gathers * passes)
+    if scalar:
+        obs.scalar_fallback_events.inc(scalar * passes)
+    return plan
+
+
 __all__ = [
     "HAVE_NUMPY",
     "PEEL_CHUNK",
     "PEEL_DEPTH_LIMIT",
+    "PEEL_SLOTS",
     "VectorKernel",
     "mark_present",
     "pack_index_array",

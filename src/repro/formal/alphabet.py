@@ -64,6 +64,24 @@ def sort_alphabet(symbols: Iterable[Symbol]) -> Tuple[Symbol, ...]:
     return tuple(sorted(symbols, key=canonical_symbol_key))
 
 
+class _UnseenSymbol(KeyError):
+    """A code-table miss; ``args[0]`` is the symbol that has no code yet."""
+
+
+class _SymbolCodes(dict):
+    """The symbol → code table of a :class:`RoleSetAlphabet`.
+
+    A lookup miss raises :class:`_UnseenSymbol`, still a ``KeyError`` to
+    every caller, so a column encode can tell a miss from a ``KeyError`` its
+    input iterable raised (``itemgetter(1)`` on a malformed event).
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, symbol: Symbol) -> int:
+        raise _UnseenSymbol(symbol)
+
+
 class RoleSetAlphabet:
     """A bijective interner between symbols and small integer codes.
 
@@ -85,7 +103,7 @@ class RoleSetAlphabet:
     __slots__ = ("_codes", "_symbols")
 
     def __init__(self, symbols: Iterable[Symbol] = ()) -> None:
-        self._codes: Dict[Symbol, int] = {}
+        self._codes: Dict[Symbol, int] = _SymbolCodes()
         self._symbols: List[Symbol] = []
         for symbol in symbols:
             self.intern(symbol)
@@ -121,25 +139,37 @@ class RoleSetAlphabet:
         """
         return len(self._symbols)
 
-    def encode_column(self, column: Sequence[Symbol]) -> List[int]:
-        """Intern a whole event column, mapping it at C speed.
+    def encode_column(self, column: Iterable[Symbol]) -> List[int]:
+        """Intern a whole event column, mapping it at C speed in one pass.
 
-        The column is mapped through the code table with :func:`map` first:
-        once a stream's symbols are known -- its steady state -- that single
-        pass is the whole encode.  Only an unseen symbol falls back to
-        interning the column's distinct fresh symbols, in canonical order so
-        their codes never depend on the process hash seed, before mapping
-        again.  This is the encode-once primitive of the columnar event
-        pipeline.
+        ``column`` may be any iterable (a list, a generator, a ``map`` over
+        event tuples); it is read once.  It is mapped through the code table
+        with :func:`map`: once a stream's symbols are known -- its steady
+        state -- that single pass is the whole encode.  At the first unseen
+        symbol the codes mapped so far stay (``list.extend`` keeps what it
+        appended before the miss), the rest of the column is read, and the
+        fresh symbols -- the unseen one plus any others in the rest -- are
+        interned in canonical order, so their codes never depend on the
+        process hash seed or on where in the column they first appear.  An
+        unhashable symbol raises ``TypeError`` before anything is interned.
+        This is the encode-once primitive of the columnar event pipeline.
         """
         codes = self._codes
+        encoded: List[int] = []
+        rest = iter(column)
         try:
-            return list(map(codes.__getitem__, column))
-        except KeyError:
-            pass
-        for symbol in sorted(set(column).difference(codes), key=canonical_symbol_key):
+            encoded.extend(map(codes.__getitem__, rest))
+            return encoded
+        except _UnseenSymbol as miss:
+            unseen = miss.args[0]
+        rest = list(rest)
+        fresh = set(rest)
+        fresh.add(unseen)
+        for symbol in sorted(fresh.difference(codes), key=canonical_symbol_key):
             self.intern(symbol)
-        return list(map(codes.__getitem__, column))
+        encoded.append(codes[unseen])
+        encoded.extend(map(codes.__getitem__, rest))
+        return encoded
 
     def symbol(self, code: int) -> Symbol:
         """The symbol carrying ``code``."""

@@ -7,6 +7,7 @@ events (and bumps ``events_seen``) with zero registered specs, and
 """
 
 from array import array
+from operator import itemgetter
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.engine import (
     ObjectInterner,
     compile_spec,
 )
-from repro.formal.alphabet import RoleSetAlphabet
+from repro.formal.alphabet import RoleSetAlphabet, canonical_symbol_key
 from repro.workloads import banking, generators
 
 
@@ -56,6 +57,12 @@ class TestObjectInterner:
         assert interner.to_snapshot() == ("dense", 11)
 
 
+_KNOWN = banking.ROLE_INTEREST
+_FRESH_A = frozenset({"a"})
+_FRESH_B = frozenset({"b"})
+_FRESH_AC = frozenset({"a", "c"})
+
+
 class TestEncodedBatch:
     def test_encode_once_round_trips_through_the_alphabet(self):
         alphabet = RoleSetAlphabet()
@@ -90,6 +97,41 @@ class TestEncodedBatch:
         assert first.code_list[0] != second.code_list[0]
         assert alphabet.encode(banking.ROLE_INTEREST) == first.code_list[0]
 
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [_FRESH_B, _KNOWN, _KNOWN],
+            [_KNOWN, _FRESH_B, _KNOWN, _FRESH_B],
+            [_KNOWN, _KNOWN, _FRESH_B],
+            [_KNOWN, _FRESH_AC, _FRESH_A, _KNOWN, _FRESH_AC, _FRESH_B],
+        ],
+        ids=["fresh-first", "fresh-mid", "fresh-last", "fresh-out-of-order"],
+    )
+    def test_encode_column_takes_any_iterable_in_one_pass(self, column):
+        events = list(enumerate(column))
+        inputs = (
+            lambda: column,
+            lambda: (symbol for symbol in column),
+            lambda: map(itemgetter(1), events),
+        )
+        results = []
+        for make in inputs:
+            alphabet = RoleSetAlphabet([_KNOWN])
+            codes = alphabet.encode_column(make())
+            assert [alphabet.symbol(code) for code in codes] == column
+            results.append((codes, list(alphabet)))
+        assert results[0] == results[1] == results[2]
+        fresh = results[0][1][1:]
+        assert fresh == sorted(fresh, key=canonical_symbol_key)
+        assert len(fresh) == len(set(column) - {_KNOWN})
+
+    def test_a_key_error_from_the_events_is_not_an_unseen_symbol(self):
+        alphabet = RoleSetAlphabet([_KNOWN])
+        with pytest.raises(KeyError) as raised:
+            EncodedBatch.from_events([(0, _FRESH_A), {0: 1}], alphabet)
+        assert raised.value.args == (1,)
+        assert list(alphabet) == [_KNOWN]
+
 
 class TestColumnarHistorySet:
     def test_offsets_cover_histories_exactly(self):
@@ -115,6 +157,13 @@ class TestColumnarHistorySet:
         assert list(history_set.codes) == history_set.code_list
         empty = ColumnarHistorySet.from_histories([], RoleSetAlphabet())
         assert len(empty) == 0 and list(empty.offsets) == [0] and empty.max_code == -1
+
+    def test_an_unseen_symbol_in_the_last_history_is_interned(self):
+        alphabet = RoleSetAlphabet([_KNOWN])
+        histories = [(_KNOWN,), (), (_KNOWN, _FRESH_B)]
+        history_set = ColumnarHistorySet.from_histories(histories, alphabet)
+        assert history_set.code_list == [0, 0, 1] and alphabet.symbol(1) == _FRESH_B
+        assert history_set.max_code == 1 and list(history_set.offsets) == [0, 1, 1, 3]
 
 
 class TestFusedEngineSurface:

@@ -8,13 +8,18 @@ The contract under test:
   that are not ints, ids at or past the bound) is dict-interned, and the
   first such id freezes the identity universe without allocating per slot;
 * ``intern()`` and ``intern_column()`` agree id for id on every input, so
-  codes never depend on how a stream is cut into batches;
+  codes never depend on how a stream is cut into batches, and a batch that
+  raises in either column leaves the interner and the alphabet as they
+  were;
 * a stream lists exactly the objects some applied batch carried --
   never the ids of a ``reject_batch`` rollback, of a pre-encoded batch that
   was never fed, or of identity-mode gaps -- in its listings, snapshots and
   journal recovery; int ids list in ascending order;
 * neither a lone huge id nor a sparse recording session allocates state
-  per never-fed slot.
+  per never-fed slot, and neither the vector peel plan nor the
+  doomed-population check costs a slot of the universe per batch; ids
+  sharing a peel slot keep their event order, and only a wholly doomed
+  population skips its pass.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ from repro.engine import (
 )
 from repro.engine import snapshot as snapshot_wire
 from repro.engine.batch import IDENTITY_LIMIT
-from repro.workloads import banking
+from repro.engine.vector import PEEL_SLOTS
+from repro.obs import MetricsRegistry
+from repro.workloads import banking, generators
 
 KINDS = ("fused", "vector") if HAVE_NUMPY else ("fused",)
 
@@ -250,7 +257,11 @@ def test_every_id_shape_matches_a_dict_keyed_oracle(kind):
 
 
 def test_intern_agrees_with_intern_column_on_random_inputs():
+    # New string ids repeat within one piece, 2/2.0/True arrive after the
+    # universe froze, and two distinct NaN objects are two ids (NaN equals
+    # nothing, so only identity makes a NaN key match).
     pool = [0, 1, 2, 3, 5, 8, 13, 40, -1, "a", "b", 2.0, 0.5, True, 2**70, IDENTITY_LIMIT]
+    pool += ["c", "d", "c", "d", 2, 2.0, True, float("nan"), float("nan")]
     rng = random.Random(0xA9)
     for _ in range(300):
         column = [rng.choice(pool) for _ in range(rng.randrange(1, 10))]
@@ -260,6 +271,42 @@ def test_intern_agrees_with_intern_column_on_random_inputs():
             pieces.append(column[start:cut])
             start = cut
         _twins(pieces)
+
+
+@pytest.mark.parametrize(
+    "fed, bad, valid",
+    [
+        ([0], [5, []], [5, "new"]),  # identity mode throughout
+        ([0], [5, "new", []], [5, "new"]),  # identity -> dict mode
+        ([0, "a"], ["b", 7, []], ["b", 7, "a"]),  # dict mode throughout
+    ],
+    ids=["identity", "identity-to-dict", "dict"],
+)
+def test_a_batch_that_raises_leaves_the_id_space_and_alphabet_as_they_were(fed, bad, valid):
+    engine = _engine("fused")
+    stream = engine.open_stream()
+    control = engine.open_stream()
+    for session in (stream, control):
+        session.feed_events([(o, OPEN) for o in fed])
+    interner = stream.object_interner
+    before = (len(interner), interner.to_snapshot(), [interner.code_of(o) for o in fed])
+    with pytest.raises(TypeError, match="unhashable"):
+        stream.feed_events([(o, OPEN) for o in bad])
+    # An unhashable symbol after a fresh one, off a list or an iterator.
+    fresh = frozenset({"FRESH"})
+    symbols = [OPEN, fresh, [], fresh]
+    version = engine.alphabet.version
+    for column in (symbols, iter(symbols)):
+        with pytest.raises(TypeError, match="unhashable"):
+            engine.alphabet.encode_column(column)
+    with pytest.raises(TypeError, match="unhashable"):
+        stream.feed_events([(valid[0], fresh), (valid[0], [])])
+    assert engine.alphabet.version == version and fresh not in engine.alphabet
+    assert (len(interner), interner.to_snapshot(), [interner.code_of(o) for o in fed]) == before
+    events = [(o, OPEN) for o in valid]
+    codes = engine.encode_events(events, interner).id_list
+    assert codes == engine.encode_events(events, control.object_interner).id_list
+    assert interner.to_snapshot() == control.object_interner.to_snapshot()
 
 
 # --------------------------------------------------------------------------- #
@@ -292,6 +339,82 @@ def test_a_lone_huge_id_allocates_no_per_slot_state(kind):
     assert _dict_mode(stream.object_interner) == (0, [10**12])
     assert stream.objects() == (10**12,)
     assert peak < 1 << 20, f"feeding one id allocated {peak} bytes"
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the vector kernel needs numpy")
+def test_a_fresh_batch_over_a_full_universe_allocates_no_per_slot_scratch():
+    # Neither the peel plan's scratch nor the doomed-population check may
+    # cost a slot of the identity universe per batch.
+    engine = _engine("vector")
+    stream = engine.open_stream()
+    stream.feed_events([(IDENTITY_LIMIT - 1, OPEN)])
+    rng = random.Random(0x5CA7)
+    ids = rng.sample(range(IDENTITY_LIMIT), 400)
+    events = [(rng.choice(ids), OPEN) for _ in range(2_000)]
+    peak = _peak_bytes(lambda: stream.feed_events(events))
+    assert peak < 4 << 20, f"one 2000-event batch allocated {peak} bytes"
+    assert len(stream.object_interner) == IDENTITY_LIMIT
+
+
+def _shared_slot_stream():
+    """Conforming and noisy banking traffic, one interleaved batch, where
+    three objects share one peel slot (ids ``k``, ``k + S``, ``k + 2S``)."""
+    _histories, events, suite = generators.conforming_banking_stream(
+        seed=0x5107, objects=6, mean_length=6, noise=0.2
+    )
+    k = 5
+    names = [k, k + PEEL_SLOTS, k + 2 * PEEL_SLOTS, 1, k + 1, 2 * PEEL_SLOTS]
+    return [(names[o], symbol) for o, symbol in events], suite
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("enforce", [False, True], ids=["plain", "enforced"])
+def test_ids_sharing_a_peel_slot_keep_their_event_order(kind, enforce):
+    events, suite = _shared_slot_stream()
+    dfas = {name: spec.automaton.determinize() for name, spec in suite.items()}
+    results = {}
+    for k in dict.fromkeys(("fused", kind)):
+        engine = HistoryCheckerEngine(kernel=k)
+        for name, spec in suite.items():
+            engine.add_spec(name, spec)
+        stream = engine.open_stream()
+        report = stream.feed_events(events, enforce=enforce)
+        refused = {r.index for r in report.rejected} if enforce else set()
+        results[k] = ({name: stream.verdicts(name) for name in suite}, refused)
+    verdicts, refused = results[kind]
+    assert results[kind] == results["fused"]
+    assert not enforce or refused, "the enforced case should refuse something"
+    histories = {}
+    for position, (object_id, symbol) in enumerate(events):
+        if position not in refused:
+            histories.setdefault(object_id, []).append(symbol)
+    for name, dfa in dfas.items():
+        assert verdicts[name] == {o: dfa.accepts(h) for o, h in histories.items()}, name
+
+
+def _sink_skips(registry, kind):
+    return registry.to_dict()[f'repro_kernel_sink_skipped_passes_total{{kind="{kind}"}}']
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_only_a_wholly_doomed_population_skips_its_pass(kind):
+    registry = MetricsRegistry("sink")
+    engine = HistoryCheckerEngine(kernel=kind, obs=registry)
+    engine.add_spec("checking", banking.checking_role_inventory())
+    stream = engine.open_stream()
+    stream.feed_events([(0, ALIEN), (1, ALIEN)])
+    doomed = {0: False, 1: False}
+    assert stream.verdicts("checking") == doomed and _sink_skips(registry, kind) == 0
+    stream.feed_events([(1, OPEN), (0, OPEN)])
+    assert stream.verdicts("checking") == doomed and _sink_skips(registry, kind) == 1
+    # Batches of doomed objects while another one lives are fed: one that
+    # touches only doomed objects, one that leads with a doomed object.
+    stream.feed_events([(2, OPEN)])
+    stream.feed_events([(0, OPEN), (1, CLOSE)])
+    stream.feed_events([(0, CLOSE), (2, CLOSE)])
+    assert _sink_skips(registry, kind) == 1
+    dfa = banking.checking_role_inventory().automaton.determinize()
+    assert stream.verdicts("checking") == {**doomed, 2: dfa.accepts((OPEN, CLOSE))}
 
 
 @pytest.mark.parametrize("kind", KINDS)

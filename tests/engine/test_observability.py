@@ -15,8 +15,10 @@ import random
 import pytest
 
 from repro import obs
-from repro.engine import HistoryCheckerEngine
-from repro.workloads import banking
+from repro.engine import HAVE_NUMPY, HistoryCheckerEngine
+from repro.workloads import banking, generators
+
+KINDS = ("fused", "vector") if HAVE_NUMPY else ("fused",)
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +113,37 @@ class TestEngineCounters:
         assert data[f'repro_kernel_events_total{{kind="{kind}"}}'] == 2
         assert data[f'repro_kernel_batches_total{{kind="{kind}"}}'] == 1
         assert data[f'repro_kernel_histories_total{{kind="{kind}"}}'] == 20
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_enforced_feed_moves_kernel_counters_as_the_plain_feed_does(self, kind):
+        _histories, events, suite = generators.conforming_banking_stream(
+            seed=21, objects=60, noise=0.0
+        )
+
+        def kernel_counters(enforce):
+            registry = obs.MetricsRegistry("enforced")
+            engine = HistoryCheckerEngine(obs=registry, kernel=kind)
+            for name, spec in suite.items():
+                engine.add_spec(name, spec)
+            batch = engine.encode_events(events)
+            for _ in range(2):  # a fresh peel plan, then the one cached on the batch
+                report = engine.open_stream().feed_events(batch, enforce=enforce)
+                assert not enforce or report.rejection_count == 0
+            return {
+                key: value
+                for key, value in registry.to_dict().items()
+                if key.startswith("repro_kernel_")
+            }
+
+        plain = kernel_counters(False)
+        assert kernel_counters(True) == plain
+        label = f'{{kind="{kind}"}}'
+        assert plain["repro_kernel_batches_total" + label] == 2
+        assert plain["repro_kernel_events_total" + label] == 2 * len(events)
+        if kind == "vector":
+            assert plain["repro_kernel_gather_rounds_total" + label] > 0
+            assert plain["repro_kernel_plan_cache_misses_total" + label] == 1
+            assert plain["repro_kernel_plan_cache_hits_total" + label] == 1
 
     def test_spec_cache_counters_are_mirrored(self, checking):
         engine, registry = instrumented_engine(checking, cache_size=1)
