@@ -55,7 +55,7 @@ EXPECTED_CASES = {
     "test_e23_fused_streaming_beats_per_spec_sweeps",
     "test_e23_fused_batch_checking_beats_per_spec_accepts",
     "test_e24_snapshot_restore_beats_refeeding",
-    "test_e25_vector_streaming_beats_fused",
+    "test_e25_warm_replay_streaming",
     "test_e26_metrics_enabled_streaming_overhead",
     "test_e27_wal_overhead_and_recovery_beat_refeeding",
     "test_e28_enforced_feed_overhead",

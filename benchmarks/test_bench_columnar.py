@@ -9,6 +9,9 @@ realistic monitoring workload (six simultaneous account constraints over
   ``CursorTable.advance_events`` pass per spec) *and* for batch checking
   (``check_batch_all`` vs one ``CompiledSpec.accepts`` pass per spec).
 
+Not a warm replay: every timed call encodes its events or histories fresh,
+so the encode stage is inside both sides of each ratio.
+
 Conforming traffic is the honest baseline: on violation-heavy streams the
 old per-spec paths short-circuit doomed objects early, while production
 checking traffic -- where violations are the exception -- pays the full
@@ -33,9 +36,7 @@ def conforming_1m():
 @pytest.fixture(scope="module")
 def suite_engine(conforming_1m):
     _histories, _events, suite = conforming_1m
-    # Pinned to the pure-Python kernel: E23's baselines track the fused
-    # interpreter; the numpy kernel has its own headline case (E25).
-    engine = HistoryCheckerEngine(kernel="fused")
+    engine = HistoryCheckerEngine()
     for name, spec in suite.items():
         engine.add_spec(name, spec)
     for name in suite:

@@ -1,16 +1,15 @@
-"""E25: the vectorized kernel -- numpy gathers over the cached peel plan.
+"""E25: warm replay -- one encoded batch fed again and again through the kernel.
 
-The scale claims of the vector PR, pinned by in-test assertions on the same
-six-constraint monitoring workload as E23 (~10^6 mostly-conforming events
-from 10^5 accounts):
+A kernel microbenchmark, not an end-to-end number (``monitor_bench`` is the
+end-to-end one): the six-constraint monitoring workload of E23 (~10^6
+mostly-conforming events from 10^5 accounts) is encoded once, and the
+tracked unit feeds that batch to ten fresh streams, each replaying the peel
+plan cached on the batch.  The unit runs uninstrumented with the shape of
+E26's instrumented one, so a slower disabled-metrics path regresses E25
+against the committed baseline.
 
-* the numpy gather kernel streams an encoded batch at least 4x faster than
-  the pure-Python fused kernel (it is ~10x on a dev VM: the per-event
-  subscript interpreter collapses into a handful of whole-column gathers
-  replayed from the batch's cached peel plan).
-
-Both engines check the identical verdicts; the assertion is conservative
-because dev VMs are noisy -- the printed numbers carry the real ratios.
+The streamed verdicts must equal ``check_batch_all`` over the fixture's
+histories.
 """
 
 import time
@@ -20,8 +19,6 @@ import pytest
 from repro.engine import HistoryCheckerEngine
 from repro.workloads import generators
 
-np = pytest.importorskip("numpy")
-
 
 @pytest.fixture(scope="module")
 def conforming_1m():
@@ -29,8 +26,8 @@ def conforming_1m():
     return generators.conforming_banking_stream(seed=2026, objects=100_000, mean_length=10)
 
 
-def _engine(suite, kind):
-    engine = HistoryCheckerEngine(kernel=kind)
+def _engine(suite):
+    engine = HistoryCheckerEngine()
     for name, spec in suite.items():
         engine.add_spec(name, spec)
     for name in suite:
@@ -38,43 +35,32 @@ def _engine(suite, kind):
     return engine
 
 
-def _timed_stream(engine, events, runs=4):
-    """Best-of-``runs`` feed of a pre-encoded batch, plus the last stream."""
+def test_e25_warm_replay_streaming(benchmark, run_once, conforming_1m):
+    histories, events, suite = conforming_1m
+    engine = _engine(suite)
+    engine.open_stream().feed_events([])  # build the kernel outside every timer
     batch = engine.encode_events(events)
-    best, stream = float("inf"), None
-    for _ in range(runs):
-        stream = engine.open_stream()
-        start = time.perf_counter()
-        stream.feed_events(batch)
-        best = min(best, time.perf_counter() - start)
-    return best, stream
 
-
-def test_e25_vector_streaming_beats_fused(benchmark, run_once, conforming_1m):
-    _histories, events, suite = conforming_1m
-    fused = _engine(suite, "fused")
-    vector = _engine(suite, "vector")
-
-    fused_elapsed, fused_stream = _timed_stream(fused, events)
-    vector_elapsed, vector_stream = _timed_stream(vector, events)
-
-    batch = vector.encode_events(events)
-
-    def ten_vector_streams():
+    def ten_streams():
         # The tracked unit is ten full feeds: one warm feed sits under the
         # CI gate's 50ms tracking floor, which would silently untrack E25.
         for _ in range(10):
-            stream = vector.open_stream()
+            stream = engine.open_stream()
             stream.feed_events(batch)
         return stream
 
-    run_once(benchmark, ten_vector_streams)
-    speedup = fused_elapsed / vector_elapsed
+    stream = run_once(benchmark, ten_streams)
+    start = time.perf_counter()
+    engine.open_stream().feed_events(batch)
+    elapsed = time.perf_counter() - start
     print(
-        f"\n[E25] streaming {len(events)} events x {len(suite)} specs: "
-        f"fused {fused_elapsed * 1000:.0f}ms, vector {vector_elapsed * 1000:.0f}ms, "
-        f"speedup {speedup:.1f}x"
+        f"\n[E25] warm replay of {len(events)} events x {len(suite)} specs: "
+        f"{elapsed * 1000:.0f}ms a feed (cached peel plan, nothing encoded)"
     )
+    expected = engine.check_batch_all(histories)
     for name in suite:
-        assert vector_stream.verdicts(name) == fused_stream.verdicts(name), name
-    assert speedup >= 4.0, f"expected >= 4x over the fused kernel, got {speedup:.2f}x"
+        assert stream.verdicts(name) == {
+            index: verdict
+            for index, (history, verdict) in enumerate(zip(histories, expected[name]))
+            if history
+        }, name

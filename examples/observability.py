@@ -84,7 +84,7 @@ def main() -> None:
     stats = plain.stats()
     print("\n-- engine.stats() on an uninstrumented engine " + "-" * 19)
     print(
-        f"kernel={stats['kernel']} specs={stats['specs']} "
+        f"specs={stats['specs']} alphabet={stats['alphabet_size']} "
         f"spec_cache={stats['spec_cache']['hits']} hits / "
         f"{stats['spec_cache']['misses']} misses; observability={stats['observability']}"
     )

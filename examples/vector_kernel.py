@@ -1,37 +1,31 @@
-"""Vector kernel walkthrough: the same monitoring suite, numpy gathers.
+"""Kernel walkthrough: the monitoring suite advanced by numpy gathers.
 
-The vector kernel (:mod:`repro.engine.vector`) mirrors the fused product
-kernel's transition tables as flat narrow-dtype ndarrays and advances a
-whole encoded batch with column gathers instead of a per-event Python
-loop.  This example
+The kernel (:mod:`repro.engine.vector`) fuses every registered spec into
+product automata, mirrors their transition tables as flat narrow-dtype
+ndarrays and advances a whole encoded batch with column gathers instead of
+a per-event Python loop.  This example
 
-1. registers the six-constraint banking monitoring suite twice -- once
-   with ``kernel="fused"`` (the pure-Python product kernel) and once with
-   ``kernel="vector"`` (the numpy gather kernel),
-2. streams the identical pre-encoded event batch through both and compares
-   wall-clock and verdicts (always identical -- the vector kernel inherits
-   the fused kernel's state numbering),
-3. peeks at the machinery: the per-group table dtypes from the
-   uint8/uint16/uint32 ladder and the peel plan cached on the batch, and
-4. snapshots the vector session and restores it under the fused kernel --
-   the snapshot wire format is kind-portable, so a monitor checkpointed on
-   a numpy host restores on a plain-Python one.
-
-Without numpy installed (it ships as the optional ``repro[fast]`` extra)
-the example still runs: ``kernel="auto"`` -- the default -- silently uses
-the fused kernel, and the vector half of the comparison is skipped.
+1. registers the six-constraint banking monitoring suite and streams one
+   pre-encoded event batch through it (verdicts checked against
+   ``check_batch_all`` over the same histories),
+2. peeks at the machinery: the per-group table dtypes from the
+   uint8/uint16/uint32 ladder and the peel plan cached on the batch, which
+   a warm re-feed replays, and
+3. snapshots the session and restores it into a fresh engine.
 
 Run with:  python examples/vector_kernel.py
 """
 
 import time
 
-from repro.engine import HAVE_NUMPY, HistoryCheckerEngine
+import numpy as np
+
+from repro.engine import HistoryCheckerEngine
 from repro.workloads import generators
 
 
-def build_engine(suite, kind: str) -> HistoryCheckerEngine:
-    engine = HistoryCheckerEngine(kernel=kind)
+def build_engine(suite) -> HistoryCheckerEngine:
+    engine = HistoryCheckerEngine()
     for name, spec in suite.items():
         engine.add_spec(name, spec)
     for name in suite:
@@ -39,16 +33,12 @@ def build_engine(suite, kind: str) -> HistoryCheckerEngine:
     return engine
 
 
-def timed_stream(engine, events):
-    """Best-of-three feed of a pre-encoded batch, plus the final stream."""
-    batch = engine.encode_events(events)
-    best, stream = float("inf"), None
-    for _ in range(3):
-        stream = engine.open_stream()
-        start = time.perf_counter()
-        stream.feed_events(batch)
-        best = min(best, time.perf_counter() - start)
-    return best, stream, batch
+def timed_feed(engine, batch):
+    """One feed of a pre-encoded batch into a fresh stream."""
+    stream = engine.open_stream()
+    start = time.perf_counter()
+    stream.feed_events(batch)
+    return time.perf_counter() - start, stream
 
 
 def main() -> None:
@@ -56,34 +46,27 @@ def main() -> None:
         seed=7, objects=20_000, mean_length=10
     )
     print(f"monitoring suite: {', '.join(suite)}")
-    print(f"stream: {len(events)} events over {len(histories)} accounts")
-    if not HAVE_NUMPY:
-        print("\nnumpy is not installed (pip install 'repro[fast]'):")
-        print('kernel="auto" falls back to the pure-Python fused kernel.')
-        engine = build_engine(suite, "auto")
-        elapsed, stream, _batch = timed_stream(engine, events)
-        print(f"fused sweep: {elapsed * 1000:.1f}ms")
-        return
+    print(f"stream: {len(events)} events over {len(histories)} accounts (numpy {np.__version__})")
 
     # ----------------------------------------------------------------- #
-    # 1. + 2. The same batch through both kernels.
+    # 1. One encoded batch through the kernel: a fresh feed, then a warm
+    #    replay of the peel plan the first feed cached on the batch.
     # ----------------------------------------------------------------- #
-    fused = build_engine(suite, "fused")
-    vector = build_engine(suite, "vector")
-    fused_ms, fused_stream, _ = timed_stream(fused, events)
-    vector_ms, vector_stream, batch = timed_stream(vector, events)
-    print(
-        f"\nfused sweep:  {fused_ms * 1000:6.1f}ms"
-        f"\nvector sweep: {vector_ms * 1000:6.1f}ms"
-        f"  ({fused_ms / vector_ms:.1f}x, same verdicts)"
-    )
+    engine = build_engine(suite)
+    batch = engine.encode_events(events)
+    fresh_s, stream = timed_feed(engine, batch)
+    warm_s, _ = timed_feed(engine, batch)
+    print(f"\nfresh feed:  {fresh_s * 1000:6.1f}ms (peel plan built)")
+    print(f"warm replay: {warm_s * 1000:6.1f}ms (cached plan; a microbenchmark)")
+    expected = engine.check_batch_all(histories)
     for name in suite:
-        assert vector_stream.verdicts(name) == fused_stream.verdicts(name), name
+        verdicts = stream.verdicts(name)
+        assert all(verdicts[i] == expected[name][i] for i in verdicts), name
 
     # ----------------------------------------------------------------- #
-    # 3. The machinery: dtype ladder and the cached peel plan.
+    # 2. The machinery: dtype ladder and the cached peel plan.
     # ----------------------------------------------------------------- #
-    kernel = vector._kernel_for(tuple(suite))
+    kernel = engine._kernel_for(tuple(suite))
     for index, group in enumerate(kernel.groups):
         table = kernel._table(index).table
         print(
@@ -100,15 +83,12 @@ def main() -> None:
     )
 
     # ----------------------------------------------------------------- #
-    # 4. Kind-portable snapshots: vector session, fused restore.
+    # 3. Snapshot the session, restore it into a fresh engine.
     # ----------------------------------------------------------------- #
-    blob = vector_stream.snapshot()
-    restored = fused.restore_stream(blob)
-    assert restored.all_verdicts() == vector_stream.all_verdicts()
-    print(
-        f"\nsnapshot: {len(blob) / 1024:.0f}KB from the vector session, "
-        f"restored verdict-identical under the fused kernel"
-    )
+    blob = stream.snapshot()
+    restored = build_engine(suite).restore_stream(blob)
+    assert restored.all_verdicts() == stream.all_verdicts()
+    print(f"\nsnapshot: {len(blob) / 1024:.0f}KB, restored verdict-identical into a fresh engine")
 
 
 if __name__ == "__main__":

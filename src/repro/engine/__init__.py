@@ -10,16 +10,14 @@ pipeline is compile → encode → fuse → check/stream, all in-process:
   from the engine's shared alphabet (:class:`~repro.engine.compiler.
   CompiledSpec`);
 * :mod:`repro.engine.batch` -- the columnar pipeline: encode-once event
-  batches and history sets over the shared alphabet, and the fused
-  multi-spec product kernel;
-* :mod:`repro.engine.vector` -- the numpy gather kernel over the same
-  product groups (flat narrow-dtype transition tables, chunked
-  first-occurrence peeling); selected automatically when numpy is
-  importable (``kernel="auto"``);
-* :mod:`repro.engine.cache` -- bounded LRU over compiled specs and fused
+  batches and history sets over the shared alphabet;
+* :mod:`repro.engine.vector` -- the kernel: every spec fused into product
+  automata, advanced by numpy gathers over flat narrow-dtype transition
+  tables (chunked first-occurrence peeling); numpy is a hard requirement;
+* :mod:`repro.engine.cache` -- bounded LRU over compiled specs and
   kernels, safe to evict mid-stream because compilation is deterministic;
 * :mod:`repro.engine.cursors` -- per-object integer cursors advanced event
-  by event (the reference path the fused kernel is pinned against);
+  by event (the reference path the kernel is pinned against);
 * :mod:`repro.engine.diagnostics` -- violation reports: fatal event,
   minimal counterexample, shortest conforming completion, MCL clause spans;
 * :mod:`repro.engine.snapshot` -- checkpoint/restore of streaming sessions
@@ -30,13 +28,7 @@ pipeline is compile → encode → fuse → check/stream, all in-process:
   HistoryCheckerEngine`, the façade tying the pieces together.
 """
 
-from repro.engine.batch import (
-    PRODUCT_STATE_CAP,
-    ColumnarHistorySet,
-    EncodedBatch,
-    FusedKernel,
-    ObjectInterner,
-)
+from repro.engine.batch import ColumnarHistorySet, EncodedBatch, ObjectInterner
 from repro.engine.cache import SpecCache
 from repro.engine.compiler import CompiledSpec, compile_spec
 from repro.engine.cursors import CursorTable, HistoryCursor
@@ -56,7 +48,7 @@ from repro.engine.engine import (
 )
 from repro.engine.journal import DurableStream, JournalError, open_durable, recover
 from repro.engine.snapshot import FORMAT_VERSION, SnapshotError, dump_stream, load_stream
-from repro.engine.vector import HAVE_NUMPY, VectorKernel
+from repro.engine.vector import PRODUCT_STATE_CAP, VectorKernel
 
 __all__ = [
     "CompiledSpec",
@@ -67,9 +59,7 @@ __all__ = [
     "ObjectInterner",
     "EncodedBatch",
     "ColumnarHistorySet",
-    "FusedKernel",
     "VectorKernel",
-    "HAVE_NUMPY",
     "PRODUCT_STATE_CAP",
     "DurableStream",
     "JournalError",

@@ -210,25 +210,6 @@ class CompiledSpec:
             remap.append(encode(shared.symbol(code), -1))
         return remap
 
-    def dense_arrays(self) -> Tuple:
-        """The table and flag columns as flat numpy arrays (requires numpy).
-
-        Returns ``(table, accepting, doomed, remap)`` where ``table`` has
-        shape ``(n_states, n_symbols)`` and the other three are 1-D.  All
-        four are *copies*: the vector kernel may hold them indefinitely,
-        while :attr:`remap` keeps growing in place as the shared alphabet
-        extends (a live buffer view would make that ``append`` fail).
-        """
-        import numpy as np
-
-        table = np.frombuffer(self.table.tobytes(), dtype=np.intc)
-        return (
-            table.reshape(self.n_states, self.n_symbols),
-            np.frombuffer(bytes(self.accepting), dtype=np.uint8),
-            np.frombuffer(bytes(self.doomed), dtype=np.uint8),
-            np.frombuffer(self.remap.tobytes(), dtype=np.intc),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledSpec(states={self.n_states}, symbols={self.n_symbols})"
 

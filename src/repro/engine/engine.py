@@ -11,8 +11,9 @@ automata, inventories, compiled MCL constraints or MCL source text
 Since the columnar pipeline (:mod:`repro.engine.batch`) the engine's native
 interchange format is *encoded columns*: every event batch and history set
 is encoded **once** against the engine's shared
-:class:`repro.formal.alphabet.RoleSetAlphabet`, all registered specs are
-fused into one product kernel advanced in a single pass per batch.
+:class:`repro.formal.alphabet.RoleSetAlphabet`, and all registered specs are
+fused into the product kernel of :mod:`repro.engine.vector`, which advances
+a batch with numpy gathers.
 
 Typical use::
 
@@ -35,14 +36,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.engine.batch import (
-    PRODUCT_STATE_CAP,
-    ColumnarHistorySet,
-    EncodedBatch,
-    FusedKernel,
-    ObjectInterner,
-)
-from repro.engine import vector
+from repro.engine.batch import ColumnarHistorySet, EncodedBatch, ObjectInterner
 from repro.engine.cache import SpecCache
 from repro.engine.compiler import CompiledSpec, compile_spec
 from repro.engine.diagnostics import (
@@ -51,6 +45,13 @@ from repro.engine.diagnostics import (
     RejectedEvent,
     Violation,
     diagnose,
+)
+from repro.engine.vector import (
+    PRODUCT_STATE_CAP,
+    VectorKernel,
+    check_batch,
+    check_history_codes,
+    mark_present,
 )
 from repro.formal.alphabet import RoleSetAlphabet
 from repro.formal.nfa import NFA
@@ -129,14 +130,8 @@ class HistoryCheckerEngine:
     cache_size:
         Capacity of the compiled-spec LRU cache.
     product_cap:
-        Product states per fused-kernel group before specs spill into a new
-        group (:data:`repro.engine.batch.PRODUCT_STATE_CAP`).
-    kernel:
-        Which multi-spec kernel advances encoded columns: ``"fused"`` (the
-        pure-Python product kernel), ``"vector"`` (the numpy gather kernel,
-        :mod:`repro.engine.vector`; raises when numpy is missing) or
-        ``"auto"`` (the default -- vector when numpy imports, silently
-        fused otherwise).
+        Product states per kernel group before specs spill into a new group
+        (:data:`repro.engine.vector.PRODUCT_STATE_CAP`).
     obs:
         Observability wiring (:mod:`repro.obs`).  ``None`` (the default)
         follows the process switch -- the engine is instrumented against
@@ -152,22 +147,10 @@ class HistoryCheckerEngine:
         self,
         cache_size: int = 64,
         product_cap: int = PRODUCT_STATE_CAP,
-        kernel: str = "auto",
         obs=None,
     ) -> None:
-        if kernel not in ("auto", "fused", "vector"):
-            raise ValueError(
-                f"kernel must be 'auto', 'fused' or 'vector', not {kernel!r}"
-            )
-        if kernel == "vector" and not vector.HAVE_NUMPY:
-            raise RuntimeError(
-                "kernel='vector' needs numpy, which is not installed; install the "
-                "repro[fast] extra, or use kernel='auto' to fall back to the fused "
-                "kernel"
-            )
         self._cache = SpecCache(cache_size)
         self._product_cap = product_cap
-        self._kernel_choice = kernel
         self._sources: Dict[str, NFA] = {}
         self._generations: Dict[str, int] = {}
         #: MCL provenance per spec (a ``CompiledConstraint`` with span-anchored
@@ -459,36 +442,41 @@ class HistoryCheckerEngine:
         """Encode whole histories once; reusable across every registered spec."""
         return ColumnarHistorySet.from_histories(histories, self._alphabet)
 
-    def _kernel_kind(self) -> str:
-        """Which kernel kind the engine's ``kernel=`` choice resolves to now.
-
-        ``"auto"`` re-reads :data:`repro.engine.vector.HAVE_NUMPY` on every
-        resolution, so the no-numpy fallback is decided by the environment,
-        not frozen at construction.
-        """
-        if self._kernel_choice == "auto":
-            return "vector" if vector.HAVE_NUMPY else "fused"
-        return self._kernel_choice
-
-    def _kernel_for(self, names: Sequence[str]) -> FusedKernel:
-        """The multi-spec kernel over ``names`` (cached by generations, alphabet
-        and kind)."""
+    def _kernel_for(self, names: Sequence[str]) -> VectorKernel:
+        """The multi-spec kernel over ``names`` (cached by generations and
+        alphabet)."""
         specs = [(name, self.compiled(name)) for name in names]
-        kind = self._kernel_kind()
         key = (
             tuple((name, self._generations[name]) for name in names),
             len(self._alphabet),
             self._product_cap,
-            kind,
         )
         kernel = self._kernels.get(key)
         if kernel is None:
-            factory = vector.VectorKernel if kind == "vector" else FusedKernel
-            kernel = factory(specs, len(self._alphabet), self._product_cap)
+            kernel = VectorKernel(specs, len(self._alphabet), self._product_cap)
             if self._obs is not None:
-                kernel.obs = self._obs.kernel(kernel.kind)
+                kernel.obs = self._obs.kernel
             self._kernels.put(key, kernel)
         return kernel
+
+    def _history_set(self, histories) -> ColumnarHistorySet:
+        """``histories`` encoded once, or a pre-encoded set checked.
+
+        A :class:`repro.engine.batch.ColumnarHistorySet` must come from this
+        engine's alphabet (or bare columns) and carry only codes the
+        alphabet has handed out; otherwise ``ValueError`` names the first
+        bad position.
+        """
+        if not isinstance(histories, ColumnarHistorySet):
+            with TRACER.trace("encode.histories"):
+                return ColumnarHistorySet.from_histories(histories, self._alphabet)
+        if histories.alphabet is not None and histories.alphabet is not self._alphabet:
+            raise ValueError(
+                "the encoded history set was built against a different alphabet "
+                "than this engine's; encode with engine.encode_histories"
+            )
+        check_history_codes(histories, len(self._alphabet))
+        return histories
 
     # ------------------------------------------------------------------ #
     # Batch checking
@@ -534,21 +522,9 @@ class HistoryCheckerEngine:
         if obs is not None:
             obs.check_batches_total.inc()
         with TRACER.trace("engine.check_batch_all", specs=len(selected)):
-            if isinstance(histories, ColumnarHistorySet):
-                history_set = histories
-                if (
-                    history_set.alphabet is not None
-                    and history_set.alphabet is not self._alphabet
-                ) or history_set.max_code >= len(self._alphabet):
-                    raise ValueError(
-                        "the encoded history set was built against a different alphabet "
-                        "than this engine's; encode with engine.encode_histories"
-                    )
-            else:
-                with TRACER.trace("encode.histories"):
-                    history_set = ColumnarHistorySet.from_histories(histories, self._alphabet)
+            history_set = self._history_set(histories)
             kernel = self._kernel_for(selected)
-            with TRACER.trace("kernel.check", kind=kernel.kind):
+            with TRACER.trace("kernel.check"):
                 verdicts = kernel.check_history_set(history_set)
             result = {name: verdicts[name] for name in selected}
         if obs is not None:
@@ -570,24 +546,13 @@ class HistoryCheckerEngine:
         and every selected spec, the index of the first event after which
         acceptance became impossible -- ``None`` when the history stays
         salvageable throughout, ``-1`` when the spec's language is empty.
-        Shares the encode-once/fused-kernel pipeline of
+        Shares the encode-once pipeline and the kernel of
         :meth:`check_batch_all`.
         """
         selected = tuple(names) if names is not None else self.spec_names()
         if not selected:
             return {}
-        if isinstance(histories, ColumnarHistorySet):
-            history_set = histories
-            if (
-                history_set.alphabet is not None
-                and history_set.alphabet is not self._alphabet
-            ) or history_set.max_code >= len(self._alphabet):
-                raise ValueError(
-                    "the encoded history set was built against a different alphabet "
-                    "than this engine's; encode with engine.encode_histories"
-                )
-        else:
-            history_set = ColumnarHistorySet.from_histories(histories, self._alphabet)
+        history_set = self._history_set(histories)
         kernel = self._kernel_for(selected)
         fatal = kernel.fatal_histories(history_set.code_list, history_set.lengths())
         return {name: fatal[name] for name in selected}
@@ -697,7 +662,7 @@ class HistoryCheckerEngine:
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """One introspection dict: registry sizes, cache counters, kernel kind.
+        """One introspection dict: registry sizes and cache counters.
 
         Always available -- the cache counters live on the caches themselves
         -- and, when this engine is instrumented, ``"metrics"`` additionally
@@ -706,7 +671,6 @@ class HistoryCheckerEngine:
         """
         data: Dict[str, object] = {
             "specs": len(self._sources),
-            "kernel": self._kernel_kind(),
             "alphabet_size": len(self._alphabet),
             "spec_cache": self._cache.stats(),
             "kernel_cache": self._kernels.stats(),
@@ -720,14 +684,15 @@ class HistoryCheckerEngine:
 class StreamChecker:
     """Incremental checking of an interleaved multi-object event stream.
 
-    The session keeps one dense state column per fused-kernel group: object
-    ids are interned to dense integers (:class:`repro.engine.batch.
-    ObjectInterner`) and each object's entry holds a direct reference to its
-    current product-state row, so :meth:`feed_events` advances *every* spec
-    with a single subscript chain per event.  Batches may arrive raw (they
-    are encoded once against the engine's shared alphabet) or already
-    encoded (:class:`repro.engine.batch.EncodedBatch`, e.g. from the
-    workload generators).
+    The session keeps one dense state column per kernel group: object ids
+    are interned to dense integers (:class:`repro.engine.batch.
+    ObjectInterner`) and each object's entry holds the index of its current
+    product state, so :meth:`feed_events` advances *every* spec with one
+    gather per peel round (:mod:`repro.engine.vector`).  Batches may arrive
+    raw (they are encoded once against the engine's shared alphabet) or
+    already encoded (:class:`repro.engine.batch.EncodedBatch`, e.g. from
+    the workload generators); a pre-encoded batch is checked before it
+    touches anything (:meth:`feed_events`).
 
     The interner's code space can hold ids the session was never fed --
     identity-mode gaps (ids ``0`` and ``9`` make ten slots), and ids of a
@@ -775,8 +740,8 @@ class StreamChecker:
         self._names = names
         self._generations: Dict[str, int] = {name: engine.generation(name) for name in names}
         self._interner = ObjectInterner()
-        self._columns: List[list] = []
-        self._kernel: Optional[FusedKernel] = None
+        self._columns: List = []
+        self._kernel: Optional[VectorKernel] = None
         #: Per spec, the dense ids seen since that spec's last reset --
         #: ``None`` meaning "every present object" (the common case, kept
         #: implicit so the hot path never builds per-batch id sets).
@@ -812,8 +777,8 @@ class StreamChecker:
         """The id space of this session (share it to pre-encode batches)."""
         return self._interner
 
-    def _resolve_kernel(self) -> FusedKernel:
-        """The current fused kernel, translating states across rebuilds.
+    def _resolve_kernel(self) -> VectorKernel:
+        """The current kernel, translating states across rebuilds.
 
         Every call resolves each spec through the engine's compile cache
         (evictions and recompilations stay visible in ``cache_stats``).  A
@@ -869,7 +834,7 @@ class StreamChecker:
         for name in reset:
             group_index, j = old_kernel.locate[name]
             group = old_kernel.groups[group_index]
-            initial = group.decode[group.root[-1]][j]
+            initial = group.decode[group.root][j]
             states = old_kernel.component_states(self._columns, name)
             moved = [dense for dense, state in enumerate(states) if state != initial]
             changed[name] = tuple(map(decode_object, moved))
@@ -888,25 +853,27 @@ class StreamChecker:
         return RevalidationReport(tuple(reset), changed, verdicts, replayed)
 
     def _adopt(self, batch: EncodedBatch) -> None:
-        """Validate a pre-encoded batch and adopt its id space if fresh."""
+        """Validate a pre-encoded batch and adopt its id space if fresh.
+
+        Runs before anything is journaled or advanced, so a refused batch
+        leaves the session untouched.  Besides the alphabet and id space
+        the batch names, its columns are checked (one vectorized pass,
+        :func:`repro.engine.vector.check_batch`): every id must hold a code
+        of its interner and every code one of the alphabet's.
+        """
         engine_alphabet = self._engine.alphabet
         if batch.alphabet is not None and batch.alphabet is not engine_alphabet:
             raise ValueError(
                 "the encoded batch was built against a different alphabet than this "
                 "engine's; encode with engine.encode_events (or the engine's .alphabet)"
             )
-        if batch.max_code >= len(engine_alphabet):
+        if batch.objects is not self._interner and len(self._interner):
             raise ValueError(
-                "the encoded batch carries symbol codes beyond this engine's alphabet"
+                "the encoded batch uses a different object-id space than this "
+                "stream; encode against stream.object_interner"
             )
-        if batch.objects is not self._interner:
-            if len(self._interner) == 0:
-                self._interner = batch.objects
-            else:
-                raise ValueError(
-                    "the encoded batch uses a different object-id space than this "
-                    "stream; encode against stream.object_interner"
-                )
+        check_batch(batch, len(engine_alphabet))
+        self._interner = batch.objects
 
     def feed(self, object_id: ObjectId, symbol: Symbol) -> None:
         """Consume a single event."""
@@ -921,7 +888,10 @@ class StreamChecker:
         :class:`repro.engine.batch.EncodedBatch`.  The batch is encoded (at
         most) once and every spec of the session advances over the encoded
         columns in one fused pass.  Events are counted once per batch --
-        also when the session checks zero specs.
+        also when the session checks zero specs.  A pre-encoded batch whose
+        ids fall outside its interner or whose codes fall outside the
+        engine's alphabet raises ``ValueError`` naming the first bad
+        position, and the session stays as it was.
 
         ``enforce=True`` turns the feed into a transactional gate: every
         event is screened against the admissibility masks *before* it is
@@ -989,18 +959,10 @@ class StreamChecker:
         missing = len(self._interner) - len(present)
         if missing > 0:
             present.extend(bytes(missing))
-        if vector.HAVE_NUMPY:
-            carried = vector.mark_present(present, batch, refused)
-        else:
-            carried = batch.id_list
-            if len(refused):
-                skip = set(refused)
-                carried = [o for p, o in enumerate(carried) if p not in skip]
-            for o in carried:
-                present[o] = 1
+        carried = mark_present(present, batch, refused)
         partial = [seen for seen in self._seen.values() if seen is not None]
         if partial:
-            carried = dict.fromkeys(carried if isinstance(carried, list) else carried.tolist())
+            carried = dict.fromkeys(carried.tolist())
             for seen in partial:
                 seen.update(carried)
 
@@ -1075,10 +1037,9 @@ class StreamChecker:
                 self._note_present(batch, rejected.positions)
                 self.events_seen += n_admitted
                 return EnforcementReport(n_admitted, records, policy, rejections=n_rejected)
-            # The kernel cuts the admitted sub-batch in its native layout:
-            # list slices for the fused kernel, one boolean mask over the
-            # array columns for the vector kernel (which the WAL then writes
-            # from without a list round trip).
+            # The kernel cuts the admitted sub-batch with one boolean mask
+            # over the array columns, which the WAL then writes from without
+            # a list round trip.
             admitted = kernel.admitted(batch, rejected)
         else:
             records = []

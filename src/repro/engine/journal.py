@@ -82,7 +82,8 @@ import struct
 import zlib
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine import vector
+import numpy as np
+
 from repro.engine.batch import (
     COLUMN_WIRE_LIMIT,
     EncodedBatch,
@@ -141,15 +142,16 @@ def _wire_column(column, bound: int) -> Tuple[str, int, bytes]:
     """An ``array('q')`` of ints below ``bound`` as raw narrowest-typecode bytes.
 
     The bound -- the id space or the alphabet size, both known -- stands in
-    for a max() scan, and numpy narrows at memcpy speed; without numpy the
-    int64 bytes ship as they are.  No zlib: WAL records only live until the
-    next checkpoint prunes them.  The tuple shape is ``_pack_column``'s, so
-    replay decodes any typecode through ``_unpack_column`` and its bounds.
+    for a max() scan, and numpy narrows at memcpy speed.  No zlib: WAL
+    records only live until the next checkpoint prunes them.  The tuple
+    shape is ``_pack_column``'s, so replay decodes any typecode through
+    ``_unpack_column`` and its bounds -- also the int64 ``q`` columns that
+    builds without numpy wrote.
     """
-    if not vector.HAVE_NUMPY or bound > 1 << 32:
+    if bound > 1 << 32:
         return ("q", 0, column.tobytes())
     typecode = "B" if bound <= 1 << 8 else ("H" if bound <= 1 << 16 else "I")
-    return (typecode, 0, vector.np.frombuffer(column, vector.np.int64).astype(typecode).tobytes())
+    return (typecode, 0, np.frombuffer(column, np.int64).astype(typecode).tobytes())
 
 
 class DurableStream:
@@ -341,7 +343,7 @@ class DurableStream:
                 "objects_before": self._objects_recorded,
                 "count": len(batch),
                 # `batch.ids`/`batch.codes` are the cached ``array('q')``
-                # columns the vectorized kernel is about to use anyway;
+                # columns the kernel is about to use anyway;
                 # narrowing them by their known bounds cuts every copy,
                 # the CRC and the page-cache traffic a checkpoint's fsync
                 # later flushes (the E27 overhead gate).
@@ -591,10 +593,10 @@ def _replay_segment(stream, reader: _SegmentReader, seq: int, obs) -> Tuple[int,
                 codes = _unpack_column(payload["codes"], limit=COLUMN_WIRE_LIMIT)
                 if len(ids) != payload["count"] or len(codes) != payload["count"]:
                     raise ValueError("column lengths disagree with the record count")
-                batch = EncodedBatch(ids, list(map(recode.__getitem__, codes)), interner, alphabet)
-                if batch.max_id >= len(interner):
-                    raise ValueError("an event references an unrecorded object id")
-                stream.feed_events(batch)
+                # feed_events refuses ids outside the recorded id space.
+                stream.feed_events(
+                    EncodedBatch(ids, list(map(recode.__getitem__, codes)), interner, alphabet)
+                )
             else:
                 raise ValueError(f"unknown record type {rtype}")
         except (SnapshotError, ValueError, KeyError, IndexError, TypeError) as exc:

@@ -2,7 +2,7 @@
 
 A :class:`repro.engine.engine.StreamChecker` tracking 10⁵ objects against a
 handful of specs is, materially, integer state: dense object ids, one
-product-row index per object per kernel group, and per-spec bookkeeping.
+product-state index per object per kernel group, and per-spec bookkeeping.
 This module serializes exactly that -- so a monitor can survive a process
 restart without replaying the 10⁶ events that produced its state.
 
@@ -81,7 +81,7 @@ adopting the engine's current generations) and ``reset_on_restore`` stays
 restored stream never resets retroactively for generation bumps that
 happened between dump and restore.
 
-States are translated, not copied: the restoring engine's fused kernel may
+States are translated, not copied: the restoring engine's kernel may
 group specs differently (different shared-alphabet width, different
 product-cap packing), so each occupied product state is re-materialized
 through ``ensure_state`` from its per-spec components -- once per distinct
@@ -96,7 +96,8 @@ import struct
 import zlib
 from typing import Dict, List, Tuple
 
-from repro.engine import vector
+import numpy as np
+
 from repro.engine.batch import COLUMN_WIRE_LIMIT as _COLUMN_LIMIT
 from repro.engine.batch import ObjectInterner, _pack_column, _unpack_column
 
@@ -166,9 +167,7 @@ def dump_stream(stream) -> bytes:
     """
     engine = stream._engine
     kernel = stream._resolve_kernel() if stream._names else None
-    # The kernel packs its own columns: the fused kernel reads row indices,
-    # the vector kernel serializes straight off its ndarray buffers -- both
-    # emit the identical wire payload, so snapshots are kind-portable.
+    # The kernel packs its own columns, straight off its ndarray buffers.
     groups: List[Dict] = [] if kernel is None else kernel.snapshot_groups(stream._columns)
     specs = {
         name: {
@@ -222,17 +221,9 @@ def dump_stream(stream) -> bytes:
 
 
 def _unfed_codes(present: bytearray, universe: int) -> List[int]:
-    """The codes below ``universe`` whose presence flag is 0, scanned at C
-    speed: one numpy pass, or (without numpy) one ``find`` per gap."""
-    if vector.HAVE_NUMPY:
-        flags = vector.np.frombuffer(present, dtype=vector.np.uint8, count=universe)
-        return vector.np.flatnonzero(flags == 0).tolist()
-    unfed: List[int] = []
-    code = present.find(0, 0, universe)
-    while code >= 0:
-        unfed.append(code)
-        code = present.find(0, code + 1, universe)
-    return unfed
+    """The codes below ``universe`` whose presence flag is 0, in one pass."""
+    flags = np.frombuffer(present, dtype=np.uint8, count=universe)
+    return np.flatnonzero(flags == 0).tolist()
 
 
 def _mark_column(marks: Dict[int, int]) -> List[int]:

@@ -1,12 +1,18 @@
-"""The vectorized fused kernel: numpy transition gathers over encoded columns.
+"""The monitor's kernel: product automata advanced by numpy gathers.
 
-:class:`VectorKernel` mirrors each :class:`repro.engine.batch._ProductGroup`
-as a flat ndarray transition table of shape ``(states, symbols)`` in the
-narrowest unsigned dtype that fits (the uint8/uint16/uint32 ladder), and
-keeps the per-object state columns as ndarrays of dense state indices
-instead of Python row references.  Advancing a batch then replaces the
-per-event interpreter loop of :meth:`repro.engine.batch.FusedKernel.
-advance_all` with a handful of whole-column gathers.
+:class:`VectorKernel` fuses every registered spec into the reachable
+*product* automaton, greedily packed into groups under
+:data:`PRODUCT_STATE_CAP` states (a spec whose addition would exceed the cap
+starts a new group -- at worst one spec per group).  Each
+:class:`_ProductGroup` numbers its states densely; ``rows[s][c]`` is the
+index of state ``s``'s successor on shared symbol code ``c``, and every
+state doomed for *all* specs of the group collapses onto one absorbing
+``sink`` state.  The kernel mirrors each group as a flat ndarray transition
+table of shape ``(states, symbols)`` in the narrowest unsigned dtype that
+fits (the uint8/uint16/uint32 ladder) and keeps the per-object state
+columns as ndarrays of dense state indices, so advancing a batch is a
+handful of whole-column gathers.  A group whose whole population sits on
+its sink skips the batch (the doomed-population early exit).
 
 The interesting part is *ordering*: events of one object must be applied in
 sequence, but a flat gather advances every event at once.  The kernel cuts
@@ -35,14 +41,9 @@ differently: histories are sorted by length (descending, stable), and round
 per round comes from a single ``bincount``/``cumsum`` over the length
 column, so the loop runs ``max_length`` rounds of pure array ops.
 
-Everything interoperates with the fused kernel: state columns convert
-through dense indices (``index_columns`` / ``_columns_from_indices``), and
-snapshots use the same packed wire format (so a vector snapshot restores on
-a no-numpy host and vice versa).
-
-The module imports without numpy (:data:`HAVE_NUMPY` is the gate the engine
-reads for ``kernel="auto"``); only constructing a :class:`VectorKernel`
-actually requires it.
+Pre-encoded columns are checked at the ingest boundary
+(:func:`check_batch`, :func:`check_history_codes`) with one reduction per
+column, so a bare-column batch cannot index past a table or a state column.
 """
 
 from __future__ import annotations
@@ -51,25 +52,22 @@ import zlib
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.engine.batch import (
     _PAYLOAD_ZLIB_LEVEL,
     COLUMN_WIRE_LIMIT,
     ColumnarHistorySet,
     EncodedBatch,
-    FusedKernel,
-    Rejections,
-    _ProductGroup,
     _unpack_array,
 )
 from repro.engine.compiler import CompiledSpec
 
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    np = None
-    HAVE_NUMPY = False
+#: Product states per fused group before the kernel starts a new group.
+#: Doomed-state collapse keeps realistic spec sets far below this; the cap
+#: only guards adversarial spec combinations from materializing a huge
+#: product (they fall back to smaller groups, down to one spec per group).
+PRODUCT_STATE_CAP = 20_000
 
 #: Events per peel chunk.  Large enough that per-round numpy overhead
 #: amortizes, small enough that the peel working set stays cache-resident
@@ -175,13 +173,58 @@ def mark_present(mask: bytearray, batch: EncodedBatch, refused: Sequence[int] = 
 
 
 # --------------------------------------------------------------------------- #
+# Ingest-boundary checks of pre-encoded columns
+# --------------------------------------------------------------------------- #
+def _unsigned_max(values) -> int:
+    """The largest of ``values`` read as unsigned (``-1`` when empty): a
+    negative int64 reads as at least 2**63, so one max bounds both ends."""
+    return int(values.view(np.uint64).max()) if values.size else -1
+
+
+def check_batch(batch: EncodedBatch, n_symbols: int) -> None:
+    """Refuse a batch with an id outside its id space or a code outside
+    ``[0, n_symbols)``, whatever its ``max_code`` claims.
+
+    One unsigned max per column, computed once per batch and kept on it
+    (the columns are immutable, and the id space and the alphabet only
+    grow); a batch that passes also caches its exact ``max_id``.  The error
+    names the first event with either entry out of range.
+    """
+    ids, codes = _id_array(batch), _code_array(batch)
+    highs = batch._np_highs
+    if highs is None:
+        highs = batch._np_highs = (_unsigned_max(ids), _unsigned_max(codes))
+    n_ids = len(batch.objects)
+    if highs[0] >= n_ids or highs[1] >= n_symbols:
+        bad = (ids.view(np.uint64) >= n_ids) | (codes.view(np.uint64) >= n_symbols)
+        position = int(np.argmax(bad))
+        raise ValueError(
+            f"the encoded batch carries object id {ids[position]} and symbol code "
+            f"{codes[position]} at position {position}; ids must lie in [0, {n_ids}) "
+            f"and codes in [0, {n_symbols})"
+        )
+    batch._max_id = highs[0]
+
+
+def check_history_codes(history_set: ColumnarHistorySet, n_symbols: int) -> None:
+    """Refuse a history set with a code outside ``[0, n_symbols)``, whatever
+    its ``max_code`` claims (one unsigned max); the error names the first."""
+    codes = _history_code_array(history_set)
+    if _unsigned_max(codes) >= n_symbols:
+        position = int(np.argmax(codes.view(np.uint64) >= n_symbols))
+        raise ValueError(
+            f"the encoded history set carries symbol code {codes[position]} at position "
+            f"{position}; codes must lie in [0, {n_symbols})"
+        )
+
+
+# --------------------------------------------------------------------------- #
 # Snapshot column packing
 # --------------------------------------------------------------------------- #
 def pack_index_array(values) -> Tuple[str, int, bytes]:
     """:func:`repro.engine.batch._pack_column` for an ndarray source.
 
-    Emits the identical ``(typecode, zlib flag, bytes)`` wire form --
-    snapshots written by either kernel kind restore under the other -- but
+    Emits the identical ``(typecode, zlib flag, bytes)`` wire form but
     narrows and serializes straight from the array buffer.
     """
     high = int(values.max()) if values.size else 0
@@ -199,37 +242,177 @@ def pack_index_array(values) -> Tuple[str, int, bytes]:
 
 
 # --------------------------------------------------------------------------- #
-# Group tables
+# Product groups
 # --------------------------------------------------------------------------- #
-def _single_spec_table(group: _ProductGroup, width: int):
-    """The dense table of a one-spec group, built by pure array ops.
+class Rejections:
+    """The events one enforcement screen refused, as position-sorted columns.
 
-    Uses :meth:`CompiledSpec.dense_arrays` instead of walking the product
-    rows: the spec table is augmented with the absorbing dead row and an
-    unknown-symbol column, gathered per (occupied product state, shared
-    code), and mapped back to product indices.  Returns ``None`` when any
-    successor is unmapped (cannot happen for a closed group; defensive).
+    ``positions`` (batch positions), ``objects`` (dense ids) and ``codes``
+    are parallel columns; ``states`` holds one column per kernel group with
+    each refused object's pre-event dense state index.  :meth:`records`
+    builds the per-event ``(position, dense id, code, per-group states)``
+    tuples only when someone reads them, so a caller that counts refusals
+    never does.
     """
-    spec: CompiledSpec = group.specs[0]
-    table, _accepting, _doomed, remap = spec.dense_arrays()
-    n_spec = spec.n_states
-    full = np.empty((n_spec + 1, spec.n_symbols + 1), dtype=np.int64)
-    full[:n_spec, : spec.n_symbols] = table
-    full[n_spec, :] = n_spec  # the synthetic dead state absorbs everything
-    full[:, spec.n_symbols] = n_spec  # unknown shared symbols are fatal
-    codes = np.full(width, spec.n_symbols, dtype=np.int64)
-    known = min(width, len(remap))
-    codes[:known] = np.where(remap[:known] < 0, spec.n_symbols, remap[:known])
-    inverse = np.full(n_spec + 1, -1, dtype=np.int64)
-    for signature, index in group.index.items():
-        inverse[signature[0]] = index
-    decode = np.fromiter(
-        (signature[0] for signature in group.decode), dtype=np.int64, count=len(group.decode)
+
+    __slots__ = ("positions", "objects", "codes", "states")
+
+    def __init__(self, positions, objects, codes, states: Sequence) -> None:
+        self.positions = positions
+        self.objects = objects
+        self.codes = codes
+        self.states = states
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def records(self, stop: Optional[int] = None) -> List[Tuple]:
+        """The first ``stop`` refusals (all by default) as tuples."""
+        positions, objects, codes, *states = [
+            column[:stop].tolist()
+            for column in (self.positions, self.objects, self.codes, *self.states)
+        ]
+        return list(zip(positions, objects, codes, zip(*states)))
+
+
+class ProductCapExceeded(Exception):
+    """Raised mid-construction when a group would exceed its state cap."""
+
+
+class _ProductGroup:
+    """The eagerly materialized reachable product of one group of specs.
+
+    States are dense indices; ``rows[s]`` lists, per shared symbol code, the
+    index of state ``s``'s successor.  ``root`` is the initial state's
+    index.  Every state that is doomed for *all* specs of the group
+    collapses onto one absorbing ``sink`` state (``-1`` until one is
+    reached).
+
+    ``cap`` bounds construction *incrementally*: exceeding it raises
+    :class:`ProductCapExceeded` from inside the closure BFS, so an
+    adversarial spec combination aborts after at most ``cap + 1`` states
+    instead of materializing a huge product first and checking afterwards.
+    The cap applies to the initial build only; later ``ensure_state`` calls
+    (state translation across kernel rebuilds) may grow past it, bounded by
+    the states streams actually occupy.
+    """
+
+    __slots__ = (
+        "names",
+        "specs",
+        "width",
+        "cap",
+        "rows",
+        "decode",
+        "index",
+        "accepting",
+        "spec_doomed",
+        "alive",
+        "sink",
+        "root",
     )
-    product = inverse[full[decode[:, None], codes[None, :]]]
-    if product.min(initial=0) < 0:  # pragma: no cover - closure is complete
+
+    def __init__(
+        self,
+        names: Tuple[str, ...],
+        specs: Sequence[CompiledSpec],
+        width: int,
+        cap: Optional[int] = None,
+    ) -> None:
+        self.names = names
+        self.specs = list(specs)
+        self.width = width
+        self.cap = cap
+        #: Per state, its successor indices; ``None`` while its closure is
+        #: still pending inside :meth:`ensure_state`.
+        self.rows: List[Optional[List[int]]] = []
+        self.decode: List[Tuple[int, ...]] = []
+        self.index: Dict[Tuple[int, ...], int] = {}
+        self.accepting: List[bytearray] = [bytearray() for _ in specs]
+        self.spec_doomed: List[bytearray] = [bytearray() for _ in specs]
+        #: Per product state: 1 iff *no* spec component is doomed there -- the
+        #: group-wise admissibility vector of the preventive-enforcement gate
+        #: (an event is admissible iff its successor state is alive).
+        self.alive = bytearray()
+        self.sink = -1
+        self.root = self.ensure_state(tuple(spec.initial for spec in specs))
+        self.cap = None  # the cap guards the initial closure only
+
+    def _add_state(self, state: Tuple[int, ...]) -> int:
+        accepting_flags = []
+        doomed_flags = []
+        for j, spec in enumerate(self.specs):
+            accepting_flags.append(spec.accepting[state[j]])
+            doomed_flags.append(spec.doomed[state[j]])
+        doomed_for_all = all(doomed_flags)
+        if doomed_for_all and self.sink >= 0:
+            # Collapse onto the absorbing sink: acceptance is False forever
+            # for every spec of the group, so one representative is enough.
+            self.index[state] = self.sink
+            return self.sink
+        index = len(self.decode)
+        if self.cap is not None and index >= self.cap:
+            raise ProductCapExceeded(f"product group would exceed {self.cap} states")
+        self.index[state] = index
+        self.decode.append(state)
+        for j in range(len(self.specs)):
+            self.accepting[j].append(accepting_flags[j])
+            self.spec_doomed[j].append(doomed_flags[j])
+        self.alive.append(0 if any(doomed_flags) else 1)
+        if doomed_for_all:
+            self.sink = index
+            self.rows.append([index] * self.width)
+        else:
+            self.rows.append(None)
+        return index
+
+    def _successor(self, state: Tuple[int, ...], code: int) -> Tuple[int, ...]:
+        successor = []
+        for j, spec in enumerate(self.specs):
+            spec_code = spec.remap[code] if code < len(spec.remap) else -1
+            component = state[j]
+            if spec_code < 0 or component == spec.dead:
+                successor.append(spec.dead)
+            else:
+                successor.append(spec.table[component * spec.n_symbols + spec_code])
+        return tuple(successor)
+
+    def ensure_state(self, state: Tuple[int, ...]) -> int:
+        """The dense index of ``state``, materializing its closure on demand."""
+        found = self.index.get(state)
+        if found is not None:
+            return found
+        first = self._add_state(state)
+        rows = self.rows
+        frontier = [first]
+        while frontier:
+            index = frontier.pop()
+            if rows[index] is not None:
+                continue  # the sink self-loops from its creation
+            source = self.decode[index]
+            row = []
+            for code in range(self.width):
+                successor = self._successor(source, code)
+                known = self.index.get(successor)
+                if known is None:
+                    known = self._add_state(successor)
+                    frontier.append(known)
+                row.append(known)
+            rows[index] = row
+        return first
+
+    def __len__(self) -> int:
+        return len(self.decode)
+
+
+def _build_group(
+    names: Tuple[str, ...], specs: Sequence[CompiledSpec], width: int, cap: Optional[int]
+) -> Optional[_ProductGroup]:
+    """The product group, or ``None`` when it would exceed ``cap`` states."""
+    try:
+        return _ProductGroup(names, specs, width, cap)
+    except ProductCapExceeded:
         return None
-    return product
 
 
 class _GroupTable:
@@ -270,18 +453,13 @@ class _GroupTable:
         n = len(group.decode)
         if n == self.n_states:
             return self
-        width = group.width
-        table = _single_spec_table(group, width) if len(group.specs) == 1 else None
-        if table is None:
-            flat = [cell[-1] for row in group.rows for cell in row[:width]]
-            table = np.array(flat, dtype=np.int64).reshape(n, width)
-        self.table = table.astype(_dtype_for(n))
+        self.table = np.array(group.rows, dtype=_dtype_for(n)).reshape(n, group.width)
         # bytes() copies: the group bytearrays keep growing in place.
         self.accepting = [np.frombuffer(bytes(acc), dtype=np.uint8) for acc in group.accepting]
         alive = np.frombuffer(bytes(group.alive), dtype=np.uint8)
         self.doomed_next = (alive[self.table] == 0).ravel()
         self.doomed = [np.frombuffer(bytes(col), dtype=np.uint8) for col in group.spec_doomed]
-        self.sink_index = group.sink[-1] if group.sink is not None else -1
+        self.sink_index = group.sink
         self.n_states = n
         self.scalar_rows = None
         return self
@@ -290,35 +468,58 @@ class _GroupTable:
 # --------------------------------------------------------------------------- #
 # The kernel
 # --------------------------------------------------------------------------- #
-class VectorKernel(FusedKernel):
-    """A :class:`FusedKernel` whose columns and tables are flat ndarrays.
+class VectorKernel:
+    """Every registered spec fused into greedily packed product groups.
 
-    Construction, spec grouping, product closure and the dense state
-    numbering are inherited unchanged -- the two kernels agree on every
-    state index by construction, which is what lets streams, snapshots and
-    the differential fuzz suite move columns between them freely.
+    Most spec sets fit one group, so a batch is one peel plan replayed over
+    one state column; a spec whose addition would blow the product cap
+    starts a new group.  Columns are ndarrays of dense product-state
+    indices, one per group, in the group table's dtype.
     """
 
-    __slots__ = ("_tables",)
-
-    kind = "vector"
+    __slots__ = ("names", "width", "groups", "locate", "obs", "_tables")
 
     def __init__(
         self,
         specs: Sequence[Tuple[str, CompiledSpec]],
         width: int,
-        cap: Optional[int] = None,
+        cap: int = PRODUCT_STATE_CAP,
     ) -> None:
-        if not HAVE_NUMPY:  # pragma: no cover - exercised on the no-numpy CI leg
-            raise RuntimeError(
-                "VectorKernel needs numpy; install the repro[fast] extra or use the "
-                "fused kernel (HistoryCheckerEngine(kernel='auto'))"
+        self.names: Tuple[str, ...] = tuple(name for name, _spec in specs)
+        self.width = width
+        #: Kernel-layer observability instruments
+        #: (:class:`repro.obs.instruments.KernelInstruments`) or ``None``;
+        #: assigned by the owning engine, so the disabled hot path pays one
+        #: attribute check and nothing else.
+        self.obs = None
+        self.groups: List[_ProductGroup] = []
+        self.locate: Dict[str, Tuple[int, int]] = {}
+        pending_names: List[str] = []
+        pending_specs: List[CompiledSpec] = []
+        current: Optional[_ProductGroup] = None
+        for name, spec in specs:
+            attempt = _build_group(
+                tuple(pending_names + [name]), pending_specs + [spec], width, cap
             )
-        if cap is None:
-            from repro.engine.batch import PRODUCT_STATE_CAP
-
-            cap = PRODUCT_STATE_CAP
-        super().__init__(specs, width, cap)
+            if attempt is not None:
+                pending_names.append(name)
+                pending_specs.append(spec)
+                current = attempt
+            elif current is not None:
+                # Adding this spec would blow the cap: seal the group built
+                # so far and open a new one with the spec alone (a single
+                # spec is always admitted, whatever its size).
+                self.groups.append(current)
+                pending_names, pending_specs = [name], [spec]
+                current = _build_group((name,), [spec], width, None)
+            else:
+                self.groups.append(_build_group((name,), [spec], width, None))
+                pending_names, pending_specs, current = [], [], None
+        if current is not None:
+            self.groups.append(current)
+        for group_index, group in enumerate(self.groups):
+            for j, name in enumerate(group.names):
+                self.locate[name] = (group_index, j)
         self._tables = [_GroupTable() for _group in self.groups]
 
     def _table(self, group_index: int) -> _GroupTable:
@@ -328,12 +529,15 @@ class VectorKernel(FusedKernel):
     # Streaming
     # ------------------------------------------------------------------ #
     def new_columns(self, n_objects: int = 0) -> List:
+        """One dense state column per group, every object at the group root."""
         return [
-            np.full(n_objects, group.root[-1], dtype=self._table(gi).table.dtype)
+            np.full(n_objects, group.root, dtype=self._table(gi).table.dtype)
             for gi, group in enumerate(self.groups)
         ]
 
     def grow_columns(self, columns: List, n_objects: int) -> None:
+        """Extend each column so freshly interned objects start at the root,
+        widening it first when its group table has outgrown its dtype."""
         for gi, group in enumerate(self.groups):
             table = self._table(gi).table
             column = columns[gi]
@@ -342,10 +546,17 @@ class VectorKernel(FusedKernel):
             missing = n_objects - len(column)
             if missing > 0:
                 columns[gi] = np.concatenate(
-                    [column, np.full(missing, group.root[-1], dtype=column.dtype)]
+                    [column, np.full(missing, group.root, dtype=column.dtype)]
                 )
 
     def advance_all(self, columns: List, batch: EncodedBatch) -> int:
+        """Advance every spec over one encoded batch; returns the event count.
+
+        The batch's peel plan is replayed once per group.  A group whose
+        whole population has collapsed onto its doomed sink (and which the
+        batch introduces no new objects to) skips its pass entirely -- the
+        doomed-population early exit.
+        """
         count = len(batch)
         if not count:
             return 0
@@ -393,6 +604,7 @@ class VectorKernel(FusedKernel):
             column[o] = rows[column[o]][c]
 
     def verdicts_of(self, name: str, column_set: List, seen: Iterable[int]) -> Dict[int, bool]:
+        """Dense-id verdicts for one spec over the tracked population."""
         group_index, j = self.locate[name]
         tab = self._table(group_index)
         column = column_set[group_index]
@@ -405,18 +617,77 @@ class VectorKernel(FusedKernel):
         return dict(zip(dense.tolist(), map(bool, flags.tolist())))
 
     def state_of(self, columns: List, group_index: int, dense: int) -> int:
+        """The dense product-state index of one object in one group; objects
+        outside the column (never fed) rest at the group root."""
         column = columns[group_index]
         if 0 <= dense < len(column):
             return int(column[dense])
-        return self.groups[group_index].root[-1]
+        return self.groups[group_index].root
 
     # ------------------------------------------------------------------ #
     # Preventive enforcement
     # ------------------------------------------------------------------ #
-    def _successor_index(self, group_index: int, state: int, code: int) -> int:
-        return int(self._table(group_index).table[state, code])
+    def admissible_code(
+        self, columns: List, dense: int, code: int, only: Optional[str] = None
+    ) -> bool:
+        """Whether admitting one encoded event keeps acceptance possible.
+
+        O(1) per group: one successor lookup plus one ``alive`` flag read --
+        no replay, no column scan.  ``only`` restricts the question to one
+        spec (its ``spec_doomed`` flag); otherwise the event must keep
+        *every* spec of the session non-doomed.  Codes outside the kernel's
+        alphabet width (or ``-1``) are never admissible: they are outside
+        every registered spec's alphabet, so their successor is dead
+        everywhere.
+        """
+        if code < 0 or code >= self.width:
+            return not self.groups if only is None else False
+        if only is not None:
+            group_index, j = self.locate[only]
+            group = self.groups[group_index]
+            successor = group.rows[self.state_of(columns, group_index, dense)][code]
+            return not group.spec_doomed[j][successor]
+        for group_index, group in enumerate(self.groups):
+            successor = group.rows[self.state_of(columns, group_index, dense)][code]
+            if not group.alive[successor]:
+                return False
+        return True
+
+    def blocking_specs(self, states: Sequence[int], code: int) -> Tuple[str, ...]:
+        """The specs a rejected event would have doomed, most specific first.
+
+        ``states`` holds the object's pre-event dense state index per group
+        (the shape :meth:`advance_all_enforced` records on each rejection).
+        Specs that become doomed *by this event* lead; when none do (the
+        object was already doomed before enforcement began), every spec
+        doomed at the successor is listed instead.
+        """
+        newly: List[str] = []
+        already: List[str] = []
+        for group_index, group in enumerate(self.groups):
+            state = states[group_index]
+            if code < 0 or code >= self.width:
+                successor = None  # outside every alphabet: dead for all specs
+            else:
+                successor = group.rows[state][code]
+            for j, name in enumerate(group.names):
+                doomed_after = True if successor is None else bool(
+                    group.spec_doomed[j][successor]
+                )
+                if not doomed_after:
+                    continue
+                if group.spec_doomed[j][state]:
+                    already.append(name)
+                else:
+                    newly.append(name)
+        return tuple(newly) if newly else tuple(already)
 
     def component_states(self, columns: List, name: str) -> List[int]:
+        """One spec's per-object DFA state column (decoded from the product).
+
+        The delta-extraction read of re-registration: objects still at the
+        spec's initial state need no re-validation after a reset.
+        """
         group_index, j = self.locate[name]
         group = self.groups[group_index]
         decode = np.fromiter(
@@ -427,18 +698,24 @@ class VectorKernel(FusedKernel):
         return decode[columns[group_index]].tolist()
 
     def advance_all_enforced(self, columns: List, batch: EncodedBatch) -> Tuple[List, Rejections]:
-        """The vectorized transactional screen-and-advance.
+        """Screen-and-advance one batch on *copies* of ``columns``.
 
-        Same contract as :meth:`FusedKernel.advance_all_enforced` (copies,
-        skip-and-continue semantics, position-sorted :class:`Rejections`),
-        fused into the peel plan: each round computes the successors' flat
-        offsets once, reads the refusal flags at those offsets
-        (``doomed_next``), resets the refused few's successors to their
-        current states and scatters once -- a round costs one flag gather
-        and one ``flatnonzero`` per group over the plain feed, plus
-        O(#rejections).  The refusals stay ndarray columns, sorted once at
-        the end.  Kernel counters move as for :meth:`advance_all`, every
-        screened event counted.
+        The transactional half of ``feed_events(..., enforce=True)``: the
+        caller's columns are never touched, so a ``reject_batch`` policy can
+        discard the copies wholesale.  An event whose successor state is
+        doomed for any spec is *not* applied and is recorded with its
+        position, dense id, code and per-group pre-event state indices;
+        later events of the same object screen against the state *without*
+        the rejected event -- exactly the ``reject_event`` skip-and-continue
+        semantics.  Returns ``(new columns, position-sorted rejections)``.
+
+        The screen is fused into the peel plan: each round computes the
+        successors' flat offsets once, reads the refusal flags at those
+        offsets (``doomed_next``), resets the refused few's successors to
+        their current states and scatters once -- a round costs one flag
+        gather and one ``flatnonzero`` per group over the plain feed, plus
+        O(#rejections).  Kernel counters move as for :meth:`advance_all`,
+        every screened event counted.
         """
         obs = self.obs
         if obs is not None and len(batch):
@@ -462,7 +739,8 @@ class VectorKernel(FusedKernel):
         if len(batch) and n_groups:
             self._screen(tabs, copies, batch, refused)
         if not refused[0]:
-            return copies, Rejections([], [], [], [[] for _ in range(n_groups)])
+            empty = np.empty(0, dtype=np.int64)
+            return copies, Rejections(empty, empty, empty, [empty] * n_groups)
         positions = np.concatenate(refused[0])
         order = np.argsort(positions)
         positions = positions[order]
@@ -472,8 +750,8 @@ class VectorKernel(FusedKernel):
         return copies, Rejections(positions, objects, codes, states)
 
     def admitted(self, batch: EncodedBatch, rejected: Rejections) -> EncodedBatch:
-        """:meth:`FusedKernel.admitted` as one boolean mask over the batch's
-        array columns; the sub-batch keeps its columns as ``array('q')``."""
+        """The events of ``batch`` the screen admitted, in batch order: one
+        boolean mask over the array columns, kept as ``array('q')``."""
         keep = np.ones(len(batch), dtype=bool)
         keep[rejected.positions] = False
         return EncodedBatch(
@@ -539,6 +817,15 @@ class VectorKernel(FusedKernel):
                     column.append(np.asarray(values, dtype=np.int64))
 
     def fatal_histories(self, code_list, lengths) -> Dict[str, List[Optional[int]]]:
+        """Per-spec first-fatal indices for contiguous per-history code runs.
+
+        The whole-history analogue of :func:`repro.engine.diagnostics.
+        replay`: for each history and spec, the index of the first event
+        after which acceptance became impossible -- ``None`` when the
+        history stays salvageable throughout, ``-1`` when the spec's
+        language is empty (doomed before any event).  This is the
+        screening primitive behind ``engine.screen_histories``.
+        """
         codes = np.asarray(code_list, dtype=np.int64)
         lens = np.asarray(lengths, dtype=np.int64)
         n = len(lens)
@@ -555,7 +842,7 @@ class VectorKernel(FusedKernel):
         for gi, group in enumerate(self.groups):
             tab = self._table(gi)
             table = tab.table
-            root = group.root[-1]
+            root = group.root
             n_specs = len(group.specs)
             states = np.full(n, root, dtype=table.dtype)
             # -2 = still salvageable; -1 = empty language; r = fatal index.
@@ -571,7 +858,7 @@ class VectorKernel(FusedKernel):
                 for j in range(n_specs):
                     newly = (fatal[:a, j] == -2) & (tab.doomed[j][states[:a]] != 0)
                     if newly.any():
-                        fatal[: a, j][newly] = r
+                        fatal[:a, j][newly] = r
             unsorted = np.empty_like(fatal)
             unsorted[order] = fatal
             for j, name in enumerate(group.names):
@@ -580,9 +867,9 @@ class VectorKernel(FusedKernel):
                 ]
         return results
 
-    def index_columns(self, columns: List) -> List[List[int]]:
-        return [column.tolist() for column in columns]
-
+    # ------------------------------------------------------------------ #
+    # State translation
+    # ------------------------------------------------------------------ #
     def _columns_from_indices(self, index_columns: List[List[int]]) -> List:
         # Sync first: translation/restore may have just materialized states
         # the cached tables have not seen yet.
@@ -591,10 +878,84 @@ class VectorKernel(FusedKernel):
             for gi, indices in enumerate(index_columns)
         ]
 
+    def translate_columns(
+        self,
+        previous: "VectorKernel",
+        columns: List,
+        reset: Sequence[str] = (),
+    ) -> List:
+        """Carry per-object states from ``previous`` into this kernel.
+
+        Specs named in ``reset`` restart at their (new) initial state; every
+        other spec keeps its progress -- compiled tables are deterministic,
+        so state numbers transfer across recompiles and kernel rebuilds.
+        Memoized per distinct cross-group state signature.
+        """
+        index_columns = [column.tolist() for column in columns]
+        n_objects = len(index_columns[0]) if index_columns else 0
+        resets = set(reset)
+        memo: Dict[Tuple[int, ...], List[int]] = {}
+        fresh: List[List[int]] = [[] for _ in self.groups]
+        initials = {
+            name: self.groups[gi].specs[j].initial for name, (gi, j) in self.locate.items()
+        }
+        for o in range(n_objects):
+            signature = tuple(column[o] for column in index_columns)
+            indices = memo.get(signature)
+            if indices is None:
+                states: Dict[str, int] = {}
+                for group, index in zip(previous.groups, signature):
+                    components = group.decode[index]
+                    for j, name in enumerate(group.names):
+                        states[name] = components[j]
+                for name in self.names:
+                    if name in resets or name not in states:
+                        states[name] = initials[name]
+                indices = [
+                    group.ensure_state(tuple(states[name] for name in group.names))
+                    for group in self.groups
+                ]
+                memo[signature] = indices
+            for target, index in zip(fresh, indices):
+                target.append(index)
+        return self._columns_from_indices(fresh)
+
+    def columns_from_states(self, states: Dict[str, Sequence[int]], n_objects: int) -> List:
+        """Dense state columns rebuilt from *per-spec* DFA state columns.
+
+        The general restore path of :mod:`repro.engine.snapshot`: compiled
+        tables are deterministic, so per-spec state integers are stable
+        across processes and kernel rebuilds; each object's cross-spec
+        signature is materialized into this kernel's product groups via
+        ``ensure_state`` (memoized per distinct signature, so the loop cost
+        is dominated by the zip, not the product walk).
+        """
+        index_columns: List[List[int]] = []
+        for group in self.groups:
+            group_states = [states[name] for name in group.names]
+            memo: Dict[Tuple[int, ...], int] = {}
+            indices: List[int] = []
+            append = indices.append
+            for signature in zip(*group_states):
+                index = memo.get(signature)
+                if index is None:
+                    index = memo[signature] = group.ensure_state(signature)
+                append(index)
+            if len(indices) != n_objects:  # zero-spec group cannot happen; guard anyway
+                indices.extend([group.root] * (n_objects - len(indices)))
+            index_columns.append(indices)
+        return self._columns_from_indices(index_columns)
+
     # ------------------------------------------------------------------ #
     # Snapshot payloads
     # ------------------------------------------------------------------ #
     def snapshot_groups(self, columns: List) -> List[Dict]:
+        """Compact per-group wire payloads for :mod:`repro.engine.snapshot`.
+
+        The *occupied* product states are listed once as per-spec component
+        tuples and the per-object column ships as narrow-dtype indices into
+        that list.
+        """
         groups: List[Dict] = []
         for group, column in zip(self.groups, columns):
             # A bincount remap instead of np.unique's sort: occupied states
@@ -614,8 +975,15 @@ class VectorKernel(FusedKernel):
     def restore_group_columns(
         self, groups: Sequence[Dict], initials: Dict[str, int], resets: set
     ) -> Optional[List]:
-        """:meth:`FusedKernel.restore_group_columns` as one ndarray gather per
-        group, straight off the unpacked wire buffer -- no Python lists."""
+        """Columns rebuilt group-for-group when the snapshot grouping matches.
+
+        The common restore (same specs, same registration order, same
+        product packing): each *occupied* product state is re-materialized
+        exactly once, and each column is one ndarray gather through the
+        lookup straight off the unpacked wire buffer.  Returns ``None`` when
+        this kernel groups specs differently, handing over to the general
+        per-spec translation path (:meth:`columns_from_states`).
+        """
         lookups = self._restore_lookups(groups, initials, resets)
         if lookups is None:
             return None
@@ -626,10 +994,39 @@ class VectorKernel(FusedKernel):
             columns.append(np.asarray(lookup, dtype=self._table(gi).table.dtype)[indices])
         return columns
 
+    def _restore_lookups(
+        self, groups: Sequence[Dict], initials: Dict[str, int], resets: set
+    ) -> Optional[List[List[int]]]:
+        """Per group, the dense index of each occupied state a snapshot lists.
+
+        ``None`` when the snapshot grouped its specs differently.  Reset
+        specs' components are replaced by their initial states before the
+        states are materialized (``ensure_state``).
+        """
+        if len(groups) != len(self.groups):
+            return None
+        for payload, group in zip(groups, self.groups):
+            if tuple(payload["names"]) != group.names:
+                return None
+        lookups: List[List[int]] = []
+        for payload, group in zip(groups, self.groups):
+            states = payload["states"]
+            if resets.intersection(group.names):
+                states = [
+                    tuple(
+                        initials[name] if name in resets else component
+                        for name, component in zip(group.names, signature)
+                    )
+                    for signature in states
+                ]
+            lookups.append([group.ensure_state(tuple(signature)) for signature in states])
+        return lookups
+
     # ------------------------------------------------------------------ #
     # Batch checking
     # ------------------------------------------------------------------ #
     def check_histories(self, code_list, lengths) -> Dict[str, List[bool]]:
+        """Per-spec verdicts for contiguous per-history code runs."""
         codes = np.asarray(code_list, dtype=np.int64)
         lens = np.asarray(lengths, dtype=np.int64)
         n = len(lens)
@@ -652,7 +1049,7 @@ class VectorKernel(FusedKernel):
         for gi, group in enumerate(self.groups):
             tab = self._table(gi)
             table = tab.table
-            states = np.full(n, group.root[-1], dtype=table.dtype)
+            states = np.full(n, group.root, dtype=table.dtype)
             for r in range(max_length):
                 a = int(active[r])
                 if a == 0:  # pragma: no cover - max_length bounds the loop
@@ -665,6 +1062,8 @@ class VectorKernel(FusedKernel):
         return verdicts
 
     def check_history_set(self, history_set: ColumnarHistorySet) -> Dict[str, List[bool]]:
+        """Per-spec verdicts for a whole encoded history set, read straight
+        off its array columns."""
         return self.check_histories(
             _history_code_array(history_set), np.diff(_offset_array(history_set))
         )
@@ -775,11 +1174,13 @@ def _counted_plan(obs, batch: EncodedBatch, ids, max_id: int, passes: int) -> Li
 
 
 __all__ = [
-    "HAVE_NUMPY",
     "PEEL_CHUNK",
     "PEEL_DEPTH_LIMIT",
     "PEEL_SLOTS",
+    "PRODUCT_STATE_CAP",
     "VectorKernel",
+    "check_batch",
+    "check_history_codes",
     "mark_present",
     "pack_index_array",
 ]

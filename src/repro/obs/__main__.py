@@ -40,12 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=2026, help="workload RNG seed")
     parser.add_argument(
-        "--kernel",
-        choices=("auto", "fused", "vector"),
-        default="auto",
-        help="which multi-spec kernel the engine uses",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -57,14 +51,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_workload(objects: int, batches: int, seed: int, kernel: str):
+def run_workload(objects: int, batches: int, seed: int):
     """Drive a banking workload through an instrumented engine; return it."""
     import random
 
     from repro.engine.engine import HistoryCheckerEngine
     from repro.workloads.generators import conforming_banking_stream
 
-    engine = HistoryCheckerEngine(kernel=kernel)
+    engine = HistoryCheckerEngine()
     histories, events, suite = conforming_banking_stream(
         seed, objects, mean_length=6, noise=0.05, rng=random.Random(seed)
     )
@@ -86,7 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     options = _build_parser().parse_args(argv)
     registry = obs.enable(obs.MetricsRegistry("cli"), spans=not options.no_spans)
     try:
-        engine = run_workload(options.objects, options.batches, options.seed, options.kernel)
+        engine = run_workload(options.objects, options.batches, options.seed)
         if options.format == "json":
             print(json.dumps(engine.stats(), indent=2, sort_keys=True))
             return 0

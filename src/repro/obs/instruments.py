@@ -14,18 +14,13 @@ future multi-tenant services' numbers isolated per tenant.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
 
 
 class EngineInstruments:
-    """Every instrument the engine layers touch, resolved once.
-
-    ``kind``-labelled kernel instruments are resolved lazily per kernel kind
-    (:meth:`kernel`): an engine usually runs one kind, and the fused/vector
-    split must stay visible in the exposition.
-    """
+    """Every instrument the engine layers touch, resolved once."""
 
     __slots__ = (
         "registry",
@@ -54,8 +49,8 @@ class EngineInstruments:
         "journal_checkpoints",
         "journal_truncated_records",
         "stream_recoveries",
-        # batch.py / vector.py, per kernel kind
-        "_kernel_cache",
+        # vector.py
+        "kernel",
     )
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -128,14 +123,8 @@ class EngineInstruments:
             "repro_stream_recoveries_total",
             "Durable streaming sessions rebuilt by recover_stream",
         )
-        self._kernel_cache: Dict[str, "KernelInstruments"] = {}
-
-    def kernel(self, kind: str) -> "KernelInstruments":
-        """The kernel-layer instruments for one kernel kind (cached)."""
-        instruments = self._kernel_cache.get(kind)
-        if instruments is None:
-            instruments = self._kernel_cache[kind] = KernelInstruments(self.registry, kind)
-        return instruments
+        #: The kernel-layer counters every kernel of the engine shares.
+        self.kernel = KernelInstruments(registry)
 
     def cache_counters(self, cache: str):
         """``(hits, misses, evictions)`` counters for one named LRU cache."""
@@ -148,10 +137,9 @@ class EngineInstruments:
 
 
 class KernelInstruments:
-    """The per-kind kernel counters (batch.py / vector.py hot layers)."""
+    """The kernel counters (the vector.py hot layer)."""
 
     __slots__ = (
-        "kind",
         "batches_total",
         "events_total",
         "histories_total",
@@ -162,42 +150,31 @@ class KernelInstruments:
         "plan_cache_misses",
     )
 
-    def __init__(self, registry: MetricsRegistry, kind: str) -> None:
-        self.kind = kind
+    def __init__(self, registry: MetricsRegistry) -> None:
         counter = registry.counter
         self.batches_total = counter(
-            "repro_kernel_batches_total", "Encoded batches advanced by a kernel", kind=kind
+            "repro_kernel_batches_total", "Encoded batches advanced by the kernel"
         )
-        self.events_total = counter(
-            "repro_kernel_events_total", "Events advanced by a kernel", kind=kind
-        )
+        self.events_total = counter("repro_kernel_events_total", "Events advanced by the kernel")
         self.histories_total = counter(
-            "repro_kernel_histories_total", "Whole histories checked by a kernel", kind=kind
+            "repro_kernel_histories_total", "Whole histories checked by the kernel"
         )
         self.sink_skips = counter(
             "repro_kernel_sink_skipped_passes_total",
             "Group passes skipped because the whole population sat on the doomed sink",
-            kind=kind,
         )
         self.gather_rounds = counter(
-            "repro_kernel_gather_rounds_total",
-            "Vectorized peel/gather rounds executed",
-            kind=kind,
+            "repro_kernel_gather_rounds_total", "Vectorized peel/gather rounds executed"
         )
         self.scalar_fallback_events = counter(
             "repro_kernel_scalar_fallback_events_total",
             "Events advanced through the skew scalar fallback",
-            kind=kind,
         )
         self.plan_cache_hits = counter(
-            "repro_kernel_plan_cache_hits_total",
-            "Batches advanced from a cached peel plan",
-            kind=kind,
+            "repro_kernel_plan_cache_hits_total", "Batches advanced from a cached peel plan"
         )
         self.plan_cache_misses = counter(
-            "repro_kernel_plan_cache_misses_total",
-            "Batches whose peel plan was computed fresh",
-            kind=kind,
+            "repro_kernel_plan_cache_misses_total", "Batches whose peel plan was computed fresh"
         )
 
 

@@ -30,29 +30,23 @@ from collections import deque
 
 import pytest
 
-from repro.engine import (
-    HAVE_NUMPY,
-    EnforcementError,
-    EnforcementReport,
-    HistoryCheckerEngine,
-)
+from repro.engine import EnforcementError, EnforcementReport, HistoryCheckerEngine
 from repro.engine.diagnostics import replay
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads import banking, generators
 from repro.workloads.generators import conforming_banking_stream
 
 WORKLOADS = ("banking", "university", "immigration", "phd", "three_class")
-KINDS = ("fused", "vector") if HAVE_NUMPY else ("fused",)
 
 ALIEN = banking.RoleSet({"ALIEN_CLASS"})
 
 
-def _suite_engine(kind="fused", seed=101, objects=30, mean_length=12):
+def _suite_engine(seed=101, objects=30, mean_length=12):
     """A banking-suite engine plus mostly-conforming interleaved events."""
     histories, events, suite = conforming_banking_stream(
         seed=seed, objects=objects, mean_length=mean_length
     )
-    engine = HistoryCheckerEngine(kernel=kind)
+    engine = HistoryCheckerEngine()
     for name, spec in suite.items():
         engine.add_spec(name, spec)
     return engine, histories, events, tuple(sorted(suite))
@@ -122,9 +116,8 @@ def test_engine_admissible_is_an_initial_state_mask_lookup():
             assert engine.admissible(name, symbol, state=spec.initial) == oracle
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_stream_admissible_matches_replay_on_live_objects(kind):
-    engine, histories, events, names = _suite_engine(kind)
+def test_stream_admissible_matches_replay_on_live_objects():
+    engine, histories, events, names = _suite_engine()
     stream = engine.open_stream(record=True)
     stream.feed_events(events)
     symbols = sorted(
@@ -138,14 +131,14 @@ def test_stream_admissible_matches_replay_on_live_objects(kind):
                 continue  # doomed objects collapse onto the sink; mask row is all-zero
             for symbol in symbols:
                 oracle = replay(spec, history + (symbol,))[1] is None
-                assert stream.admissible(index, symbol, name=name) == oracle, (kind, name)
+                assert stream.admissible(index, symbol, name=name) == oracle, name
         if all(replay(engine.compiled(name), history)[1] is None for name in names):
             for symbol in symbols:
                 oracle = all(
                     replay(engine.compiled(name), history + (symbol,))[1] is None
                     for name in names
                 )
-                assert stream.admissible(index, symbol) == oracle, (kind, index, symbol)
+                assert stream.admissible(index, symbol) == oracle, (index, symbol)
     # Unknown objects are judged from the initial state; alien symbols never admit.
     assert not stream.admissible("never-seen", ALIEN)
 
@@ -153,9 +146,8 @@ def test_stream_admissible_matches_replay_on_live_objects(kind):
 # --------------------------------------------------------------------------- #
 # The enforce=True gate
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", KINDS)
-def test_reject_event_skips_and_continues(kind):
-    engine, histories, events, names = _suite_engine(kind, seed=7)
+def test_reject_event_skips_and_continues():
+    engine, histories, events, names = _suite_engine(seed=7)
     oracle = engine.screen_histories(histories)
     fatal_total = sum(
         1
@@ -181,12 +173,11 @@ def test_reject_event_skips_and_continues(kind):
     # The invariant the gate exists for: nothing in the session is doomed.
     for name in names:
         for object_id in stream.objects(name):
-            assert not stream.doomed(name, object_id), (kind, name, object_id)
+            assert not stream.doomed(name, object_id), (name, object_id)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_reject_batch_rolls_back_untouched(kind):
-    engine, histories, events, names = _suite_engine(kind, seed=7)
+def test_reject_batch_rolls_back_untouched():
+    engine, histories, events, names = _suite_engine(seed=7)
     half = len(events) // 2
     stream = engine.open_stream(record=True)
     clean_report = stream.feed_events(events[:half], enforce=True)
@@ -262,15 +253,14 @@ def test_non_recording_rejections_answer_violation_none():
 # --------------------------------------------------------------------------- #
 # screen_histories -- the batch analogue
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", KINDS)
-def test_screen_histories_matches_replay_oracle(kind):
-    engine, histories, _, names = _suite_engine(kind, seed=11)
+def test_screen_histories_matches_replay_oracle():
+    engine, histories, _, names = _suite_engine(seed=11)
     screened = engine.screen_histories(histories)
     assert sorted(screened) == sorted(names)
     for name in names:
         spec = engine.compiled(name)
         expected = [replay(spec, history)[1] for history in histories]
-        assert screened[name] == expected, (kind, name)
+        assert screened[name] == expected, name
 
 
 # --------------------------------------------------------------------------- #
@@ -289,7 +279,7 @@ def test_durable_enforced_feed_journals_admitted_only(tmp_path):
     live = durable.all_verdicts()
     durable.close()
 
-    fresh = HistoryCheckerEngine(kernel="fused")
+    fresh = HistoryCheckerEngine()
     for name, spec in generators.banking_monitoring_suite().items():
         fresh.add_spec(name, spec)
     recovered = fresh.recover_stream(tmp_path)
@@ -301,11 +291,10 @@ def test_durable_enforced_feed_journals_admitted_only(tmp_path):
             assert not recovered.stream.doomed(name, object_id), (name, object_id)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_admitted_sub_batch_is_cut_in_the_kernel_layout(kind, tmp_path, monkeypatch):
-    # Both kernels journal exactly the admitted events; the vector kernel
-    # cuts them from the array columns, so the WAL writes them list-free.
-    engine, _histories, events, _names = _suite_engine(kind, seed=7)
+def test_admitted_sub_batch_is_cut_in_the_kernel_layout(tmp_path, monkeypatch):
+    # The WAL journals exactly the admitted events, cut from the array
+    # columns, so it writes them list-free.
+    engine, _histories, events, _names = _suite_engine(seed=7)
     durable = engine.open_durable_stream(tmp_path, checkpoint_every=None)
     appended = []
     append = durable._append_batch
@@ -326,8 +315,7 @@ def test_admitted_sub_batch_is_cut_in_the_kernel_layout(kind, tmp_path, monkeypa
             continue
         refusing += 1
         (batch,) = appended
-        if kind == "vector":
-            assert batch._id_list is None and batch._code_list is None
+        assert batch._id_list is None and batch._code_list is None
         journaled = [
             (interner.object(o), engine.alphabet.symbol(c)) for o, c in zip(batch.ids, batch.codes)
         ]
@@ -350,7 +338,7 @@ def test_durable_reject_batch_leaves_wal_untouched(tmp_path):
     assert durable.events_seen == seen == int(first)
     live = durable.all_verdicts()
     durable.close()
-    fresh = HistoryCheckerEngine(kernel="fused")
+    fresh = HistoryCheckerEngine()
     for name, spec in generators.banking_monitoring_suite().items():
         fresh.add_spec(name, spec)
     recovered = fresh.recover_stream(tmp_path)
@@ -401,7 +389,7 @@ def test_unlimited_traces_remain_the_default():
 # --------------------------------------------------------------------------- #
 # stats() shape contract
 # --------------------------------------------------------------------------- #
-STATS_KEYS = {"specs", "kernel", "alphabet_size", "spec_cache", "kernel_cache", "observability"}
+STATS_KEYS = {"specs", "alphabet_size", "spec_cache", "kernel_cache", "observability"}
 
 
 def test_stats_top_level_keys_are_a_frozen_schema():
@@ -463,9 +451,8 @@ def test_restore_after_changed_text_reregistration_resets_that_spec():
 # --------------------------------------------------------------------------- #
 # Delta-driven re-checking on re-registration
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", KINDS)
-def test_last_revalidation_reports_only_moved_objects(kind):
-    engine, histories, events, names = _suite_engine(kind, seed=17)
+def test_last_revalidation_reports_only_moved_objects():
+    engine, histories, events, names = _suite_engine(seed=17)
     target = names[0]
     stream = engine.open_stream(record=True)
     stream.feed_events(events)
@@ -480,12 +467,12 @@ def test_last_revalidation_reports_only_moved_objects(kind):
     stream.feed_events(events[:1])  # resolves the new kernel
     report = stream.last_revalidation
     assert report is not None and report.specs == (target,)
-    assert set(report.changed[target]) == moved, kind
+    assert set(report.changed[target]) == moved
     assert report.replayed == len(moved)
     new_spec = engine.compiled(target)
     for index in moved:
         expected = new_spec.accepts(histories[index])
-        assert report.verdicts[target][index] == expected, (kind, index)
+        assert report.verdicts[target][index] == expected, index
 
 
 def test_revalidation_without_recording_skips_the_replays():

@@ -16,10 +16,14 @@ The contract under test:
   was never fed, or of identity-mode gaps -- in its listings, snapshots and
   journal recovery; int ids list in ascending order;
 * neither a lone huge id nor a sparse recording session allocates state
-  per never-fed slot, and neither the vector peel plan nor the
-  doomed-population check costs a slot of the universe per batch; ids
-  sharing a peel slot keep their event order, and only a wholly doomed
-  population skips its pass.
+  per never-fed slot, and neither the peel plan nor the doomed-population
+  check costs a slot of the universe per batch; ids sharing a peel slot
+  keep their event order, and only a wholly doomed population skips its
+  pass;
+* pre-encoded columns are checked where they enter: a batch or history
+  set carrying a negative id or code, an id outside its interner or a code
+  outside the alphabet raises ``ValueError`` naming the first bad position
+  and leaves the session, its journal and its verdicts as they were.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ import pickle
 import random
 import tracemalloc
 import zlib
+from array import array
 
+import numpy as np
 import pytest
 
 from repro.engine import (
-    HAVE_NUMPY,
+    ColumnarHistorySet,
     EncodedBatch,
     EnforcementError,
     HistoryCheckerEngine,
@@ -41,11 +47,10 @@ from repro.engine import (
 )
 from repro.engine import snapshot as snapshot_wire
 from repro.engine.batch import IDENTITY_LIMIT
+from repro.engine.diagnostics import replay
 from repro.engine.vector import PEEL_SLOTS
 from repro.obs import MetricsRegistry
 from repro.workloads import banking, generators
-
-KINDS = ("fused", "vector") if HAVE_NUMPY else ("fused",)
 
 #: Admissible from every account's initial state under ``checking``.
 OPEN = banking.ROLE_INTEREST
@@ -53,8 +58,8 @@ CLOSE = banking.EMPTY_ROLE_SET
 ALIEN = frozenset({"NOT_A_ROLE"})
 
 
-def _engine(kind):
-    engine = HistoryCheckerEngine(kernel=kind)
+def _engine():
+    engine = HistoryCheckerEngine()
     engine.add_spec("checking", banking.checking_role_inventory())
     return engine
 
@@ -66,9 +71,8 @@ def _listing(stream):
 # --------------------------------------------------------------------------- #
 # Phantom objects (both reproduced at the parent of identity ingest)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", KINDS)
-def test_reject_batch_rollback_leaves_no_phantom_object(kind):
-    engine = _engine(kind)
+def test_reject_batch_rollback_leaves_no_phantom_object():
+    engine = _engine()
     stream = engine.open_stream()
     stream.feed_events([("a", OPEN)], enforce=True)
     with pytest.raises(EnforcementError):
@@ -80,10 +84,9 @@ def test_reject_batch_rollback_leaves_no_phantom_object(kind):
     assert _listing(restored) == (("a", "b"), {"a", "b"})
 
 
-@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("unfed, fed", [("x", "y"), (7, 2)])
-def test_pre_encoded_batch_never_fed_leaves_no_phantom_object(kind, unfed, fed):
-    engine = _engine(kind)
+def test_pre_encoded_batch_never_fed_leaves_no_phantom_object(unfed, fed):
+    engine = _engine()
     stream = engine.open_stream()
     engine.encode_events([(unfed, OPEN)], objects=stream.object_interner)
     stream.feed_events([(fed, OPEN)])
@@ -91,11 +94,10 @@ def test_pre_encoded_batch_never_fed_leaves_no_phantom_object(kind, unfed, fed):
     assert engine.restore_stream(stream.snapshot()).objects() == (fed,)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_refused_objects_are_not_listed_by_any_session_shape(kind, tmp_path):
+def test_refused_objects_are_not_listed_by_any_session_shape(tmp_path):
     # An object whose every event the gate refuses was never fed: the
     # in-memory, recording and journaled sessions all agree on that.
-    engine = _engine(kind)
+    engine = _engine()
     events = [("a", OPEN), ("doomed", ALIEN), ("b", OPEN)]
     plain = engine.open_stream()
     recording = engine.open_stream(record=True)
@@ -104,7 +106,7 @@ def test_refused_objects_are_not_listed_by_any_session_shape(kind, tmp_path):
         assert int(session.feed_events(events, enforce=True)) == 2
     assert plain.objects() == recording.objects() == durable.stream.objects() == ("a", "b")
     durable.close()
-    assert _engine(kind).recover_stream(tmp_path / "wal").stream.objects() == ("a", "b")
+    assert _engine().recover_stream(tmp_path / "wal").stream.objects() == ("a", "b")
 
 
 def _reframed(blob, edit):
@@ -121,7 +123,7 @@ def _reframed(blob, edit):
 
 def test_snapshots_written_before_presence_restore_fully_fed():
     # Bodies without an "absent" list list every code below their universe.
-    engine = _engine("fused")
+    engine = _engine()
     stream = engine.open_stream(record=True)
     stream.feed_events([("a", OPEN), ("b", OPEN), ("a", CLOSE)])
     restored = engine.restore_stream(_reframed(stream.snapshot(), lambda body: body.pop("absent")))
@@ -138,7 +140,7 @@ def test_snapshots_written_before_presence_restore_fully_fed():
     ],
 )
 def test_presence_outside_the_id_space_is_corruption(edit):
-    engine = _engine("fused")
+    engine = _engine()
     stream = engine.open_stream()
     stream.feed_events([(0, OPEN), (2, OPEN)])
     with pytest.raises(SnapshotError):
@@ -148,9 +150,8 @@ def test_presence_outside_the_id_space_is_corruption(edit):
 # --------------------------------------------------------------------------- #
 # Identity mode
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", KINDS)
-def test_int_ids_with_gaps_list_ascending_and_only_when_fed(kind):
-    engine = _engine(kind)
+def test_int_ids_with_gaps_list_ascending_and_only_when_fed():
+    engine = _engine()
     stream = engine.open_stream()
     stream.feed_events([(9, OPEN), (2, OPEN), (5, OPEN)])
     assert stream.object_interner.to_snapshot() == ("dense", 10)
@@ -165,7 +166,7 @@ def test_int_ids_with_gaps_list_ascending_and_only_when_fed(kind):
 
 
 def test_identity_column_is_the_batch_ids_array():
-    engine = _engine("fused")
+    engine = _engine()
     batch = engine.encode_events([(4, OPEN), (1, CLOSE), (4, CLOSE)])
     assert batch.ids.typecode == "q" and list(batch.ids) == [4, 1, 4]
     assert batch.id_list == [4, 1, 4]
@@ -206,12 +207,9 @@ def test_bool_and_numpy_ints_name_the_int_they_equal():
     assert interner.to_snapshot() == ("dense", 2)
     assert interner.code_of(1) == interner.code_of(True) == 1
     assert type(interner.object(1)) is int
-    if HAVE_NUMPY:
-        import numpy as np
-
-        interner = _twins([[np.int64(3), np.uint8(1)], [np.int64(3)]])
-        assert interner.to_snapshot() == ("dense", 4)
-        assert type(interner.object(3)) is int
+    interner = _twins([[np.int64(3), np.uint8(1)], [np.int64(3)]])
+    assert interner.to_snapshot() == ("dense", 4)
+    assert type(interner.object(3)) is int
 
 
 def test_floats_equal_to_an_int_id_name_it_and_others_are_dict_ids():
@@ -233,21 +231,16 @@ def test_mixed_int_and_str_columns():
     assert interner.code_of("b") == 3 and interner.code_of("zz") == -1
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_every_id_shape_matches_a_dict_keyed_oracle(kind):
+def test_every_id_shape_matches_a_dict_keyed_oracle():
     spec = banking.checking_role_inventory().automaton.determinize()
-    odd = [7, 0, True, 2.0, 2.5, -3, 2**63, "acct", 10**12, 7.0, 5]
-    if HAVE_NUMPY:
-        import numpy as np
-
-        odd += [np.int64(5), np.uint16(8)]
+    odd = [7, 0, True, 2.0, 2.5, -3, 2**63, "acct", 10**12, 7.0, 5, np.int64(5), np.uint16(8)]
     rng = random.Random(0x1D)
     for case in range(40):
         events = [(rng.choice(odd), rng.choice(banking.ROLE_SETS)) for _ in range(12)]
         histories = {}
         for object_id, symbol in events:
             histories.setdefault(object_id, []).append(symbol)
-        stream = _engine(kind).open_stream()
+        stream = _engine().open_stream()
         cut = rng.randrange(len(events) + 1)
         stream.feed_events(events[:cut])
         stream.feed_events(events[cut:])
@@ -283,7 +276,7 @@ def test_intern_agrees_with_intern_column_on_random_inputs():
     ids=["identity", "identity-to-dict", "dict"],
 )
 def test_a_batch_that_raises_leaves_the_id_space_and_alphabet_as_they_were(fed, bad, valid):
-    engine = _engine("fused")
+    engine = _engine()
     stream = engine.open_stream()
     control = engine.open_stream()
     for session in (stream, control):
@@ -330,9 +323,8 @@ def _peak_bytes(action):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_a_lone_huge_id_allocates_no_per_slot_state(kind):
-    engine = _engine(kind)
+def test_a_lone_huge_id_allocates_no_per_slot_state():
+    engine = _engine()
     stream = engine.open_stream()
     stream.feed_events([])  # build the kernel outside the measurement
     peak = _peak_bytes(lambda: stream.feed_events([(10**12, OPEN)]))
@@ -341,11 +333,10 @@ def test_a_lone_huge_id_allocates_no_per_slot_state(kind):
     assert peak < 1 << 20, f"feeding one id allocated {peak} bytes"
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the vector kernel needs numpy")
 def test_a_fresh_batch_over_a_full_universe_allocates_no_per_slot_scratch():
     # Neither the peel plan's scratch nor the doomed-population check may
     # cost a slot of the identity universe per batch.
-    engine = _engine("vector")
+    engine = _engine()
     stream = engine.open_stream()
     stream.feed_events([(IDENTITY_LIMIT - 1, OPEN)])
     rng = random.Random(0x5CA7)
@@ -367,23 +358,35 @@ def _shared_slot_stream():
     return [(names[o], symbol) for o, symbol in events], suite
 
 
-@pytest.mark.parametrize("kind", KINDS)
+def _gate_oracle(engine, names, events):
+    """The positions the enforcement gate must refuse, by per-spec table
+    replay: an event is refused iff it leaves some spec unsalvageable after
+    its object's admitted events (a refused event is skipped)."""
+    admitted = {}
+    refused = set()
+    for position, (object_id, symbol) in enumerate(events):
+        history = admitted.get(object_id, ()) + (symbol,)
+        if any(replay(engine.compiled(name), history)[1] is not None for name in names):
+            refused.add(position)
+        else:
+            admitted[object_id] = history
+    return refused
+
+
 @pytest.mark.parametrize("enforce", [False, True], ids=["plain", "enforced"])
-def test_ids_sharing_a_peel_slot_keep_their_event_order(kind, enforce):
+def test_ids_sharing_a_peel_slot_keep_their_event_order(enforce):
     events, suite = _shared_slot_stream()
     dfas = {name: spec.automaton.determinize() for name, spec in suite.items()}
-    results = {}
-    for k in dict.fromkeys(("fused", kind)):
-        engine = HistoryCheckerEngine(kernel=k)
-        for name, spec in suite.items():
-            engine.add_spec(name, spec)
-        stream = engine.open_stream()
-        report = stream.feed_events(events, enforce=enforce)
-        refused = {r.index for r in report.rejected} if enforce else set()
-        results[k] = ({name: stream.verdicts(name) for name in suite}, refused)
-    verdicts, refused = results[kind]
-    assert results[kind] == results["fused"]
-    assert not enforce or refused, "the enforced case should refuse something"
+    engine = HistoryCheckerEngine()
+    for name, spec in suite.items():
+        engine.add_spec(name, spec)
+    stream = engine.open_stream()
+    report = stream.feed_events(events, enforce=enforce)
+    verdicts = {name: stream.verdicts(name) for name in suite}
+    refused = {r.index for r in report.rejected} if enforce else set()
+    if enforce:
+        assert refused, "the enforced case should refuse something"
+        assert refused == _gate_oracle(engine, tuple(suite), events)
     histories = {}
     for position, (object_id, symbol) in enumerate(events):
         if position not in refused:
@@ -392,41 +395,39 @@ def test_ids_sharing_a_peel_slot_keep_their_event_order(kind, enforce):
         assert verdicts[name] == {o: dfa.accepts(h) for o, h in histories.items()}, name
 
 
-def _sink_skips(registry, kind):
-    return registry.to_dict()[f'repro_kernel_sink_skipped_passes_total{{kind="{kind}"}}']
+def _sink_skips(registry):
+    return registry.to_dict()["repro_kernel_sink_skipped_passes_total"]
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_only_a_wholly_doomed_population_skips_its_pass(kind):
+def test_only_a_wholly_doomed_population_skips_its_pass():
     registry = MetricsRegistry("sink")
-    engine = HistoryCheckerEngine(kernel=kind, obs=registry)
+    engine = HistoryCheckerEngine(obs=registry)
     engine.add_spec("checking", banking.checking_role_inventory())
     stream = engine.open_stream()
     stream.feed_events([(0, ALIEN), (1, ALIEN)])
     doomed = {0: False, 1: False}
-    assert stream.verdicts("checking") == doomed and _sink_skips(registry, kind) == 0
+    assert stream.verdicts("checking") == doomed and _sink_skips(registry) == 0
     stream.feed_events([(1, OPEN), (0, OPEN)])
-    assert stream.verdicts("checking") == doomed and _sink_skips(registry, kind) == 1
+    assert stream.verdicts("checking") == doomed and _sink_skips(registry) == 1
     # Batches of doomed objects while another one lives are fed: one that
     # touches only doomed objects, one that leads with a doomed object.
     stream.feed_events([(2, OPEN)])
     stream.feed_events([(0, OPEN), (1, CLOSE)])
     stream.feed_events([(0, CLOSE), (2, CLOSE)])
-    assert _sink_skips(registry, kind) == 1
+    assert _sink_skips(registry) == 1
     dfa = banking.checking_role_inventory().automaton.determinize()
     assert stream.verdicts("checking") == {**doomed, 2: dfa.accepts((OPEN, CLOSE))}
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_recording_with_sparse_ids_allocates_no_list_per_unfed_slot(kind):
-    engine = _engine(kind)
+def test_recording_with_sparse_ids_allocates_no_list_per_unfed_slot():
+    engine = _engine()
     stream = engine.open_stream(record=True)
     stream.feed_events([])
     high = 1_000_000
     peak = _peak_bytes(lambda: stream.feed_events([(0, OPEN), (high, OPEN), (high, CLOSE)]))
-    # Per slot: a kernel column entry (8 bytes at most, briefly twice while
-    # the fused column grows) plus a presence byte; a list per unfed slot
-    # would cost over 60 bytes each.
+    # Per slot: a kernel column entry (one byte here, briefly twice while
+    # the column grows) plus a presence byte; a list per unfed slot would
+    # cost over 60 bytes each.
     assert peak < 32 * high, f"{peak} bytes for a universe of {high + 1} slots"
     assert stream.objects() == (0, high)
     assert stream.history(high) == (OPEN, CLOSE) and stream.history(5) == ()
@@ -443,8 +444,126 @@ def test_wire_universes_past_the_bound_are_refused():
 
 
 def test_pre_encoded_identity_batches_feed_like_raw_ones():
-    engine = _engine("fused")
+    engine = _engine()
     stream = engine.open_stream()
     stream.feed_events(EncodedBatch.from_events([(3, OPEN)], engine.alphabet))
     stream.feed_events([(1, OPEN), (3, CLOSE)])
     assert stream.objects() == (1, 3)
+
+
+# --------------------------------------------------------------------------- #
+# Pre-encoded columns are checked at the boundary
+# --------------------------------------------------------------------------- #
+def _suite_engine():
+    engine = HistoryCheckerEngine()
+    for name, spec in generators.banking_monitoring_suite().items():
+        engine.add_spec(name, spec)
+    return engine
+
+
+def _bad_batch(case, stream, alphabet):
+    """Two events whose second carries the out-of-range entry ``case`` names."""
+    interner = stream.object_interner
+    code = alphabet.encode(OPEN)
+    ids, codes, max_code = [0, 1], [code, code], None
+    if case == "negative-id":
+        ids[1] = -1
+    elif case == "negative-code":
+        codes[1] = -1
+    elif case == "id-past-interner":
+        ids[1] = len(interner)
+    else:  # a code past the alphabet, under a max_code that claims otherwise
+        codes[1], max_code = len(alphabet), 0
+    return EncodedBatch(ids, codes, interner, alphabet, max_code=max_code)
+
+
+def _state(stream):
+    return stream.all_verdicts(), stream.events_seen, len(stream.object_interner)
+
+
+@pytest.mark.parametrize("feed", ["plain", "reject_event", "reject_batch", "durable"])
+@pytest.mark.parametrize(
+    "case", ["negative-id", "negative-code", "id-past-interner", "code-past-alphabet"]
+)
+def test_out_of_range_columns_are_refused_before_anything_moves(case, feed, tmp_path):
+    _histories, events, _suite = generators.conforming_banking_stream(
+        seed=3, objects=12, mean_length=6
+    )
+    engine = _suite_engine()
+    if feed == "durable":
+        durable = engine.open_durable_stream(tmp_path / "wal", checkpoint_every=None)
+        durable.feed_events(events)
+        stream = durable.stream
+        records = durable.stats()["records"]
+    else:
+        stream = engine.open_stream()
+        stream.feed_events(events)
+    before = _state(stream)
+    batch = _bad_batch(case, stream, engine.alphabet)
+    with pytest.raises(ValueError, match=r"at position 1\b"):
+        if feed == "durable":
+            durable.feed_events(batch)
+        elif feed == "plain":
+            stream.feed_events(batch)
+        else:
+            stream.feed_events(batch, enforce=True, policy=feed)
+    assert _state(stream) == before
+    if feed == "durable":
+        assert durable.stats()["records"] == records
+        durable.close()
+        recovered = _suite_engine().recover_stream(tmp_path / "wal")
+        assert _state(recovered.stream) == before
+
+
+def test_the_error_names_the_first_bad_event_across_both_columns():
+    engine = _engine()
+    stream = engine.open_stream()
+    stream.feed_events([(0, OPEN), (1, OPEN)])
+    code = engine.alphabet.encode(OPEN)
+    batch = EncodedBatch([0, 1, -1], [code, -1, code], stream.object_interner, engine.alphabet)
+    with pytest.raises(ValueError, match=r"object id 1 and symbol code -1 at position 1\b"):
+        stream.feed_events(batch)
+
+
+def test_out_of_range_codes_never_change_a_verdict():
+    # An event outside every alphabet dooms every spec; a -1 code that went
+    # through used to wrap into the previous state's table row instead.
+    histories, events, suite = generators.conforming_banking_stream(
+        seed=3, objects=40, mean_length=6
+    )
+    engine = _suite_engine()
+    stream = engine.open_stream()
+    stream.feed_events(events)
+    restored = engine.restore_stream(stream.snapshot())
+    for o in range(len(histories)):
+        batch = EncodedBatch([o], [-1], restored.object_interner, engine.alphabet)
+        with pytest.raises(ValueError, match=r"symbol code -1 at position 0\b"):
+            restored.feed_events(batch)
+    restored.feed_events(events)
+    expected = {
+        name: {o: spec.automaton.determinize().accepts(h + h) for o, h in enumerate(histories) if h}
+        for name, spec in suite.items()
+    }
+    assert restored.all_verdicts() == expected
+
+
+def test_history_sets_with_out_of_range_codes_are_refused():
+    histories, _events, _suite = generators.conforming_banking_stream(
+        seed=3, objects=40, mean_length=6
+    )
+    engine = _suite_engine()
+    encoded = engine.encode_histories(histories)
+    lengths = np.diff(np.frombuffer(encoded.offsets, dtype=np.int64)).tolist()
+    # -1 appended to every history: the first lands right after history 0.
+    code_list, offsets, position = [], [0], 0
+    for length in lengths:
+        code_list += encoded.code_list[position : position + length] + [-1]
+        position += length
+        offsets.append(len(code_list))
+    padded = ColumnarHistorySet(code_list, array("q", offsets), engine.alphabet)
+    with pytest.raises(ValueError, match=rf"symbol code -1 at position {lengths[0]}\b"):
+        engine.check_batch_all(padded)
+    past = ColumnarHistorySet([0, len(engine.alphabet)], array("q", [0, 2]), max_code=0)
+    with pytest.raises(ValueError, match=r"at position 1\b"):
+        engine.screen_histories(past)
+    assert engine.check_batch_all(encoded) == engine.check_batch_all(histories)

@@ -38,7 +38,7 @@ def _case(seed, objects=8):
 
 
 def _engine(specs, **kwargs):
-    engine = HistoryCheckerEngine(kernel="fused", **kwargs)
+    engine = HistoryCheckerEngine(**kwargs)
     for name, nfa in specs.items():
         engine.add_spec(name, nfa)
     return engine

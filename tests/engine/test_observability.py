@@ -15,10 +15,8 @@ import random
 import pytest
 
 from repro import obs
-from repro.engine import HAVE_NUMPY, HistoryCheckerEngine
+from repro.engine import HistoryCheckerEngine
 from repro.workloads import banking, generators
-
-KINDS = ("fused", "vector") if HAVE_NUMPY else ("fused",)
 
 
 @pytest.fixture(autouse=True)
@@ -108,21 +106,19 @@ class TestEngineCounters:
         stream = engine.open_stream(["checking"])
         stream.feed_events([(0, banking.ROLE_SETS[0]), (1, banking.ROLE_SETS[0])])
         engine.check_batch_all(random_banking_words(seed=9, count=20), ["checking"])
-        kind = engine._kernel_kind()
         data = registry.to_dict()
-        assert data[f'repro_kernel_events_total{{kind="{kind}"}}'] == 2
-        assert data[f'repro_kernel_batches_total{{kind="{kind}"}}'] == 1
-        assert data[f'repro_kernel_histories_total{{kind="{kind}"}}'] == 20
+        assert data["repro_kernel_events_total"] == 2
+        assert data["repro_kernel_batches_total"] == 1
+        assert data["repro_kernel_histories_total"] == 20
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_enforced_feed_moves_kernel_counters_as_the_plain_feed_does(self, kind):
+    def test_enforced_feed_moves_kernel_counters_as_the_plain_feed_does(self):
         _histories, events, suite = generators.conforming_banking_stream(
             seed=21, objects=60, noise=0.0
         )
 
         def kernel_counters(enforce):
             registry = obs.MetricsRegistry("enforced")
-            engine = HistoryCheckerEngine(obs=registry, kernel=kind)
+            engine = HistoryCheckerEngine(obs=registry)
             for name, spec in suite.items():
                 engine.add_spec(name, spec)
             batch = engine.encode_events(events)
@@ -137,13 +133,11 @@ class TestEngineCounters:
 
         plain = kernel_counters(False)
         assert kernel_counters(True) == plain
-        label = f'{{kind="{kind}"}}'
-        assert plain["repro_kernel_batches_total" + label] == 2
-        assert plain["repro_kernel_events_total" + label] == 2 * len(events)
-        if kind == "vector":
-            assert plain["repro_kernel_gather_rounds_total" + label] > 0
-            assert plain["repro_kernel_plan_cache_misses_total" + label] == 1
-            assert plain["repro_kernel_plan_cache_hits_total" + label] == 1
+        assert plain["repro_kernel_batches_total"] == 2
+        assert plain["repro_kernel_events_total"] == 2 * len(events)
+        assert plain["repro_kernel_gather_rounds_total"] > 0
+        assert plain["repro_kernel_plan_cache_misses_total"] == 1
+        assert plain["repro_kernel_plan_cache_hits_total"] == 1
 
     def test_spec_cache_counters_are_mirrored(self, checking):
         engine, registry = instrumented_engine(checking, cache_size=1)
@@ -179,7 +173,6 @@ class TestEngineCounters:
         stats = engine.stats()
         assert stats["specs"] == 1
         assert stats["observability"] is True
-        assert stats["kernel"] in ("fused", "vector")
         assert "repro_engine_events_total" in stats["metrics"]
         assert stats["metrics"]["repro_engine_specs"] == 1
 
@@ -206,7 +199,7 @@ class TestSpans:
         assert [child.name for child in raw.children] == ["encode.histories", "kernel.check"]
         # A pre-encoded set skips the encode stage.
         assert [child.name for child in encoded.children] == ["kernel.check"]
-        assert encoded.children[0].meta == {"kind": engine._kernel_kind()}
+        assert encoded.children[0].meta is None  # one kernel, no kind to label
 
 
 class TestCli:

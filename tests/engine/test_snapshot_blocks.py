@@ -25,19 +25,17 @@ import zlib
 
 import pytest
 
-from repro.engine import HAVE_NUMPY, HistoryCheckerEngine, SnapshotError
+from repro.engine import HistoryCheckerEngine, SnapshotError
 from repro.engine import snapshot as snapshot_wire
 from repro.engine.batch import SNAPSHOT_BLOCK
 from repro.workloads import banking
-
-KINDS = ("fused", "vector") if HAVE_NUMPY else ("fused",)
 
 OPEN = banking.ROLE_INTEREST
 CLOSE = banking.EMPTY_ROLE_SET
 
 
-def _engine(kind="fused"):
-    engine = HistoryCheckerEngine(kernel=kind)
+def _engine():
+    engine = HistoryCheckerEngine()
     engine.add_spec("checking", banking.checking_role_inventory())
     return engine
 
@@ -77,12 +75,11 @@ def _same_session(restored, stream):
 # --------------------------------------------------------------------------- #
 # Round trips
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize(
     "count", [SNAPSHOT_BLOCK - 1, SNAPSHOT_BLOCK, SNAPSHOT_BLOCK + 1, 2 * SNAPSHOT_BLOCK + 1]
 )
-def test_round_trip_at_block_boundaries(kind, count):
-    engine = _engine(kind)
+def test_round_trip_at_block_boundaries(count):
+    engine = _engine()
     stream = engine.open_stream()
     keys = [f"acct-{index}" for index in range(count)]
     stream.feed_events(_events(keys))
@@ -106,9 +103,8 @@ def test_round_trip_at_block_boundaries(kind, count):
     assert _body(restored.snapshot()) == _body(stream.snapshot())
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_identity_prefix_then_string_ids_lists_no_range(kind):
-    engine = _engine(kind)
+def test_identity_prefix_then_string_ids_lists_no_range():
+    engine = _engine()
     stream = engine.open_stream()
     stream.feed_events([(0, OPEN), (7, OPEN), (3, OPEN)])
     keys = [f"acct-{index}" for index in range(SNAPSHOT_BLOCK + 5)]
@@ -175,9 +171,8 @@ def test_repeated_checkpoints_while_the_session_grows_recover(tmp_path):
     recovered.close()
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_recording_session_round_trip(kind):
-    engine = _engine(kind)
+def test_recording_session_round_trip():
+    engine = _engine()
     stream = engine.open_stream(record=True)
     keys = [f"acct-{index}" for index in range(SNAPSHOT_BLOCK + 3)]
     stream.feed_events(_events(keys))

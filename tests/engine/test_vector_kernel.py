@@ -1,33 +1,31 @@
-"""The numpy vector kernel: dtype edges, skew fallback, column packing.
+"""The numpy kernel: dtype edges, skew fallback, column packing.
 
-The differential fuzz suite pins the vector kernel against the other five
-implementations on random cases; this file drives the corners those cases
-cannot reach deliberately -- state counts sitting exactly on the
-uint8/uint16/uint32 dtype boundaries (hand-built counter automata, since no
-random regex minimizes to exactly 256 states), batches skewed enough to
-trip the scalar peel fallback, the no-numpy degradation contract, and the
-snapshot column packing.
+The differential fuzz suite pins the kernel against ``DFA.accepts``, the
+cursor paths and the salvageability oracle on random cases; this file
+drives the corners those cases cannot reach deliberately -- state counts
+sitting exactly on the uint8/uint16/uint32 dtype boundaries (hand-built
+counter automata, since no random regex minimizes to exactly 256 states),
+batches skewed enough to trip the scalar peel fallback, and the snapshot
+column packing.
 """
 
 from __future__ import annotations
 
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.engine import HistoryCheckerEngine
 from repro.engine.compiler import CompiledSpec
-from repro.workloads import generators
-
-np = pytest.importorskip("numpy")
-
-from repro.engine.vector import (  # noqa: E402  (import order: numpy skip first)
+from repro.engine.vector import (
     PEEL_CHUNK,
     PEEL_DEPTH_LIMIT,
     VectorKernel,
     _dtype_for,
     pack_index_array,
 )
+from repro.workloads import generators
 
 
 def counter_spec(n_states: int, n_symbols: int = 2) -> CompiledSpec:
@@ -97,19 +95,18 @@ def test_dtype_upcast_on_streamed_columns():
     assert columns[0].dtype == np.uint16
 
 
-def _engine_pair(specs):
-    engines = []
-    for kind in ("fused", "vector"):
-        engine = HistoryCheckerEngine(kernel=kind)
-        for name, nfa in specs.items():
-            engine.add_spec(name, nfa)
-        engines.append(engine)
-    return engines
+def _dfa_verdicts(dfa, events):
+    """Per-object ``DFA.accepts`` over each object's events, in feed order."""
+    histories = {}
+    for object_id, symbol in events:
+        histories.setdefault(object_id, []).append(symbol)
+    return {object_id: dfa.accepts(history) for object_id, history in histories.items()}
 
 
 def test_alphabet_growth_re_extends_remap_columns():
-    """Symbols first seen mid-stream grow the shared alphabet; the vector
-    tables rebuild their remapped columns and stay verdict-identical."""
+    """Symbols first seen mid-stream grow the shared alphabet; the kernel
+    tables rebuild over the extended remap columns and the verdicts stay
+    those of ``DFA.accepts``."""
     import random
 
     rng = random.Random(7)
@@ -123,19 +120,21 @@ def test_alphabet_growth_re_extends_remap_columns():
         next(generators.spec_walk_histories(specs["spec"], objects=1, mean_length=5, rng=rng))
         for _ in range(6)
     ]
-    fused, vec = _engine_pair(specs)
-    streams = [engine.open_stream() for engine in (fused, vec)]
+    engine = HistoryCheckerEngine()
+    engine.add_spec("spec", specs["spec"])
+    stream = engine.open_stream()
     events_a = generators.event_stream(histories[:3], 11)
-    for stream in streams:
-        stream.feed_events(events_a)
-    # Aliens unseen at kernel-build time force alphabet growth (and, for the
-    # vector kernel, a table rebuild over the extended remap columns).
+    stream.feed_events(events_a)
+    width = len(engine.alphabet)
+    # Aliens unseen at kernel-build time force alphabet growth, and with it
+    # a kernel rebuild over the extended remap columns.
     aliens = (RoleSet({"ALIEN"}), RoleSet({"ALIEN", "X"}))
     alien_histories = [history + aliens for history in histories[3:]]
     events_b = generators.event_stream(alien_histories, 13)
-    for stream in streams:
-        stream.feed_events(events_b)
-    assert streams[0].all_verdicts() == streams[1].all_verdicts()
+    stream.feed_events(events_b)
+    assert len(engine.alphabet) > width
+    dfa = specs["spec"].determinize()
+    assert stream.all_verdicts() == {"spec": _dfa_verdicts(dfa, events_a + events_b)}
 
 
 def test_empty_and_single_object_columns():
@@ -153,32 +152,27 @@ def test_empty_and_single_object_columns():
 
 def test_skewed_batch_takes_the_scalar_fallback():
     """One object flooding a chunk past PEEL_DEPTH_LIMIT falls back to the
-    scalar tail -- and still matches the fused kernel event for event."""
+    scalar tail -- and still matches ``DFA.accepts`` event for event."""
     n = 7
-    spec = counter_spec(n)
-    engines = []
-    for kind in ("fused", "vector"):
-        engine = HistoryCheckerEngine(kernel=kind)
-        engine.add_spec("count", _counter_nfa(n))
-        engines.append(engine)
-    flood = [("hog", "s0")] * (PEEL_DEPTH_LIMIT * 3)
+    nfa = _counter_nfa(n)
+    engine = HistoryCheckerEngine()
+    engine.add_spec("count", nfa)
+    flood = [("hog", "s0")] * (PEEL_DEPTH_LIMIT * 3 + 2)
     trickle = [(f"o{i}", "s0") for i in range(5)]
     events = flood[: PEEL_DEPTH_LIMIT * 2] + trickle + flood[PEEL_DEPTH_LIMIT * 2 :]
     assert len(events) < PEEL_CHUNK  # a single chunk, so the skew cannot dilute
-    verdicts = []
-    for engine in engines:
-        stream = engine.open_stream()
-        stream.feed_events(events)
-        verdicts.append(stream.all_verdicts())
-    assert verdicts[0] == verdicts[1]
-    # The plan the vector engine cached on the batch must contain a scalar
-    # tail entry: the flood exceeds the peel depth inside its chunk.
-    vec_stream = engines[1].open_stream()
-    batch = engines[1].encode_events(events)
-    vec_stream.feed_events(batch)
+    expected = {"count": _dfa_verdicts(nfa.determinize(), events)}
+    # 98 increments bring the hog's 7-counter back to its accepting state;
+    # one increment takes each trickle object off it.
+    assert expected["count"] == {"hog": True, **{f"o{i}": False for i in range(5)}}
+    stream = engine.open_stream()
+    batch = engine.encode_events(events)
+    stream.feed_events(batch)
+    # The plan cached on the batch must contain a scalar tail entry: the
+    # flood exceeds the peel depth inside its chunk.
     assert batch._np_plan is not None
     assert any(not entry[0] for entry in batch._np_plan[1])
-    assert vec_stream.all_verdicts() == verdicts[0]
+    assert stream.all_verdicts() == expected
 
 
 def _counter_nfa(n_states: int):
@@ -198,20 +192,11 @@ def _counter_nfa(n_states: int):
     )
 
 
-def test_no_numpy_auto_falls_back_and_vector_raises(monkeypatch):
-    monkeypatch.setattr("repro.engine.vector.HAVE_NUMPY", False)
-    engine = HistoryCheckerEngine(kernel="auto")
-    assert engine._kernel_kind() == "fused"
-    with pytest.raises(RuntimeError, match="repro\\[fast\\]"):
-        HistoryCheckerEngine(kernel="vector")
-    spec = counter_spec(3)
-    with pytest.raises(RuntimeError, match="numpy"):
-        VectorKernel([("count", spec)], width=2)
-
-
-def test_engine_rejects_unknown_kernel_kind():
-    with pytest.raises(ValueError, match="kernel"):
-        HistoryCheckerEngine(kernel="simd")
+def test_engine_takes_no_kernel_option():
+    # There is one kernel, so the engine takes no kernel option at all.
+    removed_option = {"kernel": "vector"}
+    with pytest.raises(TypeError, match="kernel"):
+        HistoryCheckerEngine(**removed_option)
 
 
 def test_pack_index_array_matches_list_packing():

@@ -1,35 +1,30 @@
 """Cross-layer differential fuzzing: every execution path must agree.
 
-The engine now has six ways to answer "does this history satisfy this
-spec" -- the fused product kernel (``check_batch`` / ``check_batch_all``),
-the per-spec cursor paths (``HistoryCursor`` / ``CursorTable``), the
-streaming session (``StreamChecker``), the one-shot subset-construction
-oracle (``DFA.accepts``), a snapshot→restore round trip of the streaming
-session, and the numpy :class:`~repro.engine.vector.VectorKernel` (batch
-and streaming).  Each is implemented independently enough to disagree in
-interesting ways, so this suite drives all of them with seeded random
-specs (random schemas → random role-set regexes) over seeded random
+The engine answers "does this history satisfy this spec" along several
+paths -- the product kernel (``check_batch`` / ``check_batch_all``), the
+per-spec cursor paths (``HistoryCursor`` / ``CursorTable``), the streaming
+session (``StreamChecker``) and a snapshot→restore round trip of it -- and
+the one-shot subset-construction oracle (``DFA.accepts``) answers it
+independently of all of them.  This suite drives every path with seeded
+random specs (random schemas → random role-set regexes) over seeded random
 streams (spec walks, uniform noise, alien symbols) and asserts
 **bit-identical verdicts** on every object:
 
 * 200 seeded cases per tier-1 run (``--fuzz-rounds`` multiplies the count;
-  the nightly CI job runs 10x), each case covering serial batch, fused
-  batch, cursors, DFA oracle, streaming, mid-stream snapshot/restore into
-  the same engine, and restore into a *fresh* engine (the process-restart
-  simulation, exercising fingerprint validation and alphabet re-encoding);
-* when numpy is importable, the vector kernel over the same case: batch
-  verdicts, a vector stream snapshotted mid-run and restored under *both*
-  kernel kinds (the wire payload is kind-portable), a fused snapshot
-  restored under the vector kernel, and a mid-stream re-registration that
-  translates live vector state columns through the new kernel;
+  the nightly CI job runs 10x), each case covering the multi-spec batch,
+  the per-spec batch, cursors, DFA oracle, streaming, mid-stream
+  snapshot/restore into the same engine, restore into a *fresh* engine
+  (the process-restart simulation, exercising fingerprint validation and
+  alphabet re-encoding), and a mid-stream re-registration that translates
+  the live state columns of every other spec through the new kernel;
 * LRU eviction pressure mid-stream (single-entry caches on a rotating
   subset of cases);
-* the ``enforce=True`` admissibility gate (both kernel kinds) against an
-  independent DFA-walk oracle with its own backward-reachability doomed
-  set: the gate's rejected event indices must equal the oracle's fatal
-  indices exactly, an enforced stream must never hold a doomed object, and
-  ``reject_batch`` must raise on the oracle's *first* fatal index leaving
-  the session untouched;
+* the ``enforce=True`` admissibility gate against an independent DFA-walk
+  oracle with its own backward-reachability doomed set: the gate's
+  rejected event indices must equal the oracle's fatal indices exactly, an
+  enforced stream must never hold a doomed object, and ``reject_batch``
+  must raise on the oracle's *first* fatal index leaving the session
+  untouched;
 * object-interner mode transitions, over **every batch split** of short
   streams whose int ids leave gaps and then fill them, or switch to string
   ids mid-stream and then feed a gap id: ``objects()`` and
@@ -37,10 +32,8 @@ streams (spec walks, uniform noise, alien symbols) and asserts
   contract after each batch, both on a live session and on one restored
   from a snapshot at every batch boundary.
 
-The fused paths are pinned with ``kernel="fused"`` so they stay exercised
-even though ``kernel="auto"`` now prefers the vector kernel.  A failure
-message always carries the case seed, so any disagreement is reproducible
-with one parametrized rerun.
+A failure message always carries the case seed, so any disagreement is
+reproducible with one parametrized rerun.
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ import random
 import pytest
 
 from repro.core.rolesets import RoleSet, enumerate_role_sets
-from repro.engine import HAVE_NUMPY, EnforcementError, HistoryCheckerEngine, HistoryCursor
+from repro.engine import EnforcementError, HistoryCheckerEngine, HistoryCursor
 from repro.engine.batch import IDENTITY_LIMIT
 from repro.workloads import generators
 
@@ -153,9 +146,9 @@ def _enforcement_oracle(specs, events):
     return fatal
 
 
-def _check_enforcement(kind, specs, events, oracle_fatal, tag):
-    """The enforce=True gate under ``kind`` agrees with the DFA-walk oracle."""
-    engine = HistoryCheckerEngine(kernel=kind)
+def _check_enforcement(specs, events, oracle_fatal, tag):
+    """The enforce=True gate agrees with the DFA-walk oracle."""
+    engine = HistoryCheckerEngine()
     _register_all(engine, specs)
     # Specs with an empty language doom every object from its very first
     # event; the gate rejects everything, but untouched objects legitimately
@@ -171,14 +164,14 @@ def _check_enforcement(kind, specs, events, oracle_fatal, tag):
     for start in range(0, len(events), chunk):
         piece = events[start : start + chunk]
         report = stream.feed_events(piece, enforce=True)
-        assert int(report) + len(report.rejected) == len(piece), (tag, kind)
+        assert int(report) + len(report.rejected) == len(piece), tag
         rejected.extend(start + record.index for record in report.rejected)
-    assert rejected == oracle_fatal, (tag, kind, "gate vs oracle fatal indices")
-    assert stream.events_seen == len(events) - len(oracle_fatal), (tag, kind)
+    assert rejected == oracle_fatal, (tag, "gate vs oracle fatal indices")
+    assert stream.events_seen == len(events) - len(oracle_fatal), tag
     # An enforced stream never reports a doomed verdict.
     for name in nonempty:
         for object_id in stream.objects(name):
-            assert not stream.doomed(name, object_id), (tag, kind, name, object_id)
+            assert not stream.doomed(name, object_id), (tag, name, object_id)
 
     # reject_batch is all-or-nothing: it raises on the oracle's *first* fatal
     # index and leaves the session untouched.
@@ -186,11 +179,11 @@ def _check_enforcement(kind, specs, events, oracle_fatal, tag):
     if oracle_fatal:
         with pytest.raises(EnforcementError) as caught:
             batch_stream.feed_events(events, enforce=True, policy="reject_batch")
-        assert caught.value.index == oracle_fatal[0], (tag, kind)
-        assert batch_stream.events_seen == 0, (tag, kind)
+        assert caught.value.index == oracle_fatal[0], tag
+        assert batch_stream.events_seen == 0, tag
     else:
         report = batch_stream.feed_events(events, enforce=True, policy="reject_batch")
-        assert int(report) == len(events) and not report.rejected, (tag, kind)
+        assert int(report) == len(events) and not report.rejected, tag
 
 
 def _check_one_case(case_seed, fresh_restore):
@@ -202,10 +195,10 @@ def _check_one_case(case_seed, fresh_restore):
     # deterministic-recompile in the differential loop, not just in a
     # dedicated unit test.
     cache_size = 1 if case_seed % 3 == 0 else 64
-    engine = HistoryCheckerEngine(cache_size=cache_size, kernel="fused")
+    engine = HistoryCheckerEngine(cache_size=cache_size)
     _register_all(engine, specs)
 
-    # Path 1: fused multi-spec batch.
+    # Path 1: multi-spec batch.
     assert engine.check_batch_all(histories) == expected, tag
     # Path 2: per-spec batch.
     for name in specs:
@@ -237,7 +230,7 @@ def _check_one_case(case_seed, fresh_restore):
     # restart simulation (fingerprints must match across engines because
     # table compilation is deterministic).
     if fresh_restore:
-        other = HistoryCheckerEngine(kernel="fused")
+        other = HistoryCheckerEngine()
         _register_all(other, specs)
         migrated = other.restore_stream(blob)
         assert migrated.reset_on_restore == (), tag
@@ -250,50 +243,23 @@ def _check_one_case(case_seed, fresh_restore):
         for index, history in enumerate(histories):
             assert migrated.history(index) == tuple(history), (tag, index)
 
-    # Path 6: the numpy vector kernel, batch and streaming, including the
-    # kind-portable snapshot wire format in both directions.
-    if HAVE_NUMPY:
-        vec = HistoryCheckerEngine(kernel="vector")
-        _register_all(vec, specs)
-        assert vec.check_batch_all(histories) == expected, (tag, "vector batch")
-
-        vec_stream = vec.open_stream()
-        vec_stream.feed_events(events[:half])
-        vec_blob = vec_stream.snapshot()
-        for target, label in ((vec, "vector→vector"), (engine, "vector→fused")):
-            restored_vec = target.restore_stream(vec_blob)
-            assert restored_vec.reset_on_restore == (), (tag, label)
-            restored_vec.feed_events(events[half:])
-            for name in specs:
-                verdicts = restored_vec.verdicts(name)
-                streamed = [verdicts[index] for index in range(len(histories))]
-                assert streamed == expected[name], (tag, name, label)
-        # The fused snapshot restores under the vector kernel too.
-        from_fused = vec.restore_stream(blob)
-        assert from_fused.reset_on_restore == (), (tag, "fused→vector")
-        from_fused.feed_events(events[half:])
-        for name in specs:
-            verdicts = from_fused.verdicts(name)
+    # Path 6: mid-stream re-registration -- bumping one spec's generation
+    # forces a kernel rebuild, so the live columns of every *other* spec are
+    # carried over through state translation.
+    if len(specs) > 1:
+        live = engine.open_stream()
+        live.feed_events(events[:half])
+        names = sorted(specs)
+        engine.add_spec(names[0], specs[names[0]])
+        live.feed_events(events[half:])
+        for name in names[1:]:
+            verdicts = live.verdicts(name)
             streamed = [verdicts[index] for index in range(len(histories))]
-            assert streamed == expected[name], (tag, name, "fused→vector")
-
-        # Mid-stream re-registration: bumping one spec's generation forces a
-        # kernel rebuild, so the live ndarray columns of every *other* spec
-        # are carried over through state translation.
-        if len(specs) > 1:
-            names = sorted(specs)
-            vec.add_spec(names[0], specs[names[0]])
-            vec_stream.feed_events(events[half:])
-            for name in names[1:]:
-                verdicts = vec_stream.verdicts(name)
-                streamed = [verdicts[index] for index in range(len(histories))]
-                assert streamed == expected[name], (tag, name, "vector re-registration")
+            assert streamed == expected[name], (tag, name, "re-registration")
 
     # Path 7: the enforce=True admissibility gate against an independent
-    # DFA-walk oracle, under both kernel kinds.
-    oracle_fatal = _enforcement_oracle(specs, events)
-    for kind in ("fused", "vector") if HAVE_NUMPY else ("fused",):
-        _check_enforcement(kind, specs, events, oracle_fatal, tag)
+    # DFA-walk oracle.
+    _check_enforcement(specs, events, _enforcement_oracle(specs, events), tag)
 
 
 def test_differential_fuzz_all_paths_agree(fuzz_rounds):
@@ -371,13 +337,13 @@ def _transition_case(seed, shape):
     return specs, transition_ids(events, shape, rng)
 
 
-def _check_transition_case(seed, shape, kind):
+def _check_transition_case(seed, shape):
     specs, events = _transition_case(seed, shape)
     dfas = {name: nfa.determinize() for name, nfa in specs.items()}
-    engine = HistoryCheckerEngine(kernel=kind)
+    engine = HistoryCheckerEngine()
     _register_all(engine, specs)
     for split in _splits(len(events)):
-        tag = (seed, shape, kind, split)
+        tag = (seed, shape, split)
         live = engine.open_stream()
         chained = engine.open_stream(record=True)
         for start, stop in split:
@@ -397,8 +363,7 @@ def _check_transition_case(seed, shape, kind):
 def test_interner_mode_transitions_agree_on_every_batch_split(shape, fuzz_rounds):
     """Gaps filled later and mid-stream id-kind switches, every batch split."""
     for case in range(TRANSITION_CASES * fuzz_rounds):
-        for kind in ("fused", "vector") if HAVE_NUMPY else ("fused",):
-            _check_transition_case(BASE_SEED + 20_000 + case, shape, kind)
+        _check_transition_case(BASE_SEED + 20_000 + case, shape)
 
 
 def test_fuzz_case_generator_is_deterministic():

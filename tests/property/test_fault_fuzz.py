@@ -3,8 +3,11 @@
 Three seeded suites (~100 cases per tier-1 run; ``--fuzz-rounds``
 multiplies the counts for the nightly chaos job), all pinned to the same
 invariant: whatever faults are injected, the surviving session's verdicts
-are **identical** to an uninterrupted single-process oracle fed the same
-durable prefix.
+are **identical** to an uninterrupted oracle fed the same durable prefix --
+``DFA.accepts`` per object (with the salvageability oracle of
+``test_differential_fuzz`` deciding what an enforced feed admits) for the
+crash and record-boundary cases, an uninterrupted in-memory session for
+the SIGKILL cases.
 
 * **WAL crash/recover** -- seeded durable sessions crash at a random point
   with a randomly chosen corruption (clean crash, torn segment tail,
@@ -15,9 +18,9 @@ durable prefix.
   later, a mid-stream switch to string ids followed by a gap id); for the
   transition shapes, every batch split of a short stream is journaled and
   recovered at every record boundary.  Half the crash cases feed through
-  the enforcement gate (``enforce=True``), on either kernel: the journal
-  then holds admitted events only, so the oracle is fed the admitted events
-  of the durable prefix.  Two thirds of the cases also arm one in-process
+  the enforcement gate (``enforce=True``): the journal then holds admitted
+  events only, so the oracle is fed the admitted events of the durable
+  prefix.  Two thirds of the cases also arm one in-process
   fault site (:mod:`repro.testing.faults`) while feeding: a ``raise`` at
   ``journal.append`` must leave the session untouched and let the batch be
   fed again, a ``flip`` there must still recover to an exact prefix, and a
@@ -51,7 +54,7 @@ import pytest
 
 import repro
 from repro.core.rolesets import enumerate_role_sets
-from repro.engine import HAVE_NUMPY, HistoryCheckerEngine, SnapshotError
+from repro.engine import HistoryCheckerEngine, SnapshotError
 from repro.engine.journal import _segment_path, _SegmentReader
 from repro.testing.faults import (
     FaultError,
@@ -63,7 +66,7 @@ from repro.testing.faults import (
     tear_file,
 )
 from repro.workloads import generators
-from test_differential_fuzz import transition_ids
+from test_differential_fuzz import _enforcement_oracle, listing_oracle, transition_ids
 
 BASE_SEED = 0xFA17
 
@@ -102,8 +105,8 @@ def _stream_case(seed):
     return specs, events
 
 
-def _engine(specs, kernel="fused", **kwargs):
-    engine = HistoryCheckerEngine(kernel=kernel, **kwargs)
+def _engine(specs, **kwargs):
+    engine = HistoryCheckerEngine(**kwargs)
     for name, nfa in specs.items():
         engine.add_spec(name, nfa)
     return engine
@@ -126,6 +129,20 @@ def _unordered_listing(stream):
     first showed them, which a session fed only admitted events cannot know.
     """
     return frozenset(stream.objects()), stream.all_verdicts()
+
+
+def _oracle_listing(specs, events, ordered=True):
+    """``(objects(), all_verdicts())`` of a session fed ``events``, by
+    ``DFA.accepts`` per object (:func:`test_differential_fuzz.listing_oracle`)."""
+    dfas = {name: nfa.determinize() for name, nfa in specs.items()}
+    objects, verdicts = listing_oracle(dfas, events)
+    return (objects if ordered else frozenset(objects)), verdicts
+
+
+def _admitted_by_oracle(specs, events):
+    """The events an enforced feed admits, by the salvageability oracle."""
+    fatal = set(_enforcement_oracle(specs, events))
+    return [event for position, event in enumerate(events) if position not in fatal]
 
 
 def _feed_admitted(durable, chunk, enforce):
@@ -162,13 +179,12 @@ def _run_wal_crash_case(seed, directory):
     # Drawn apart from ``rng`` so every other draw of a seed stays as it was.
     gate = random.Random(seed ^ 0x6A7E)
     enforce = gate.random() < 0.5
-    kind = "vector" if HAVE_NUMPY and gate.random() < 0.5 else "fused"
     # So is the armed fault, so the draws above stay as they were too.
     fault = random.Random(f"{seed}:fault").choice((None, None) + _FEED_FAULTS)
-    tag = f"seed={seed} enforce={enforce} kernel={kind} fault={fault}"
+    tag = f"seed={seed} enforce={enforce} fault={fault}"
     listing = _unordered_listing if enforce else _listing
 
-    durable = _engine(specs, kind).open_durable_stream(
+    durable = _engine(specs).open_durable_stream(
         directory, checkpoint_every=checkpoint_every, retain=2
     )
     cut = rng.randrange(0, len(events) + 1)
@@ -215,7 +231,7 @@ def _run_wal_crash_case(seed, directory):
     elif scenario == "checkpoint":
         corrupt_file(os.path.join(directory, checkpoints[-1]), seed=rng.randrange(1 << 30))
 
-    recovered = _engine(specs, kind).recover_stream(
+    recovered = _engine(specs).recover_stream(
         directory, checkpoint_every=checkpoint_every, retain=2
     )
     fed = recovered.events_seen
@@ -225,23 +241,18 @@ def _run_wal_crash_case(seed, directory):
         assert recovered.truncated_records == 0, (tag, scenario)
     else:
         assert fed <= len(admitted), (tag, scenario)
-    # The recovered state is exactly a plain oracle's over the admitted
-    # events of the durable prefix ...
-    oracle = _engine(specs).open_stream()
-    oracle.feed_events(admitted[:fed])
-    assert listing(recovered.stream) == listing(oracle), (tag, scenario)
+    # The recovered state is exactly the oracle's over the admitted events
+    # of the durable prefix ...
+    oracle = _oracle_listing(specs, admitted[:fed], ordered=not enforce)
+    assert listing(recovered.stream) == oracle, (tag, scenario)
     # ... and the session is live: resuming the stream converges with the
     # uninterrupted run (the recovered prefix is a true prefix).  Admitted
     # events lost with a torn tail are admitted again from the same states.
     rest = admitted[fed:] + events[cut:]
     recovered.feed_events(rest, enforce=enforce)
-    if enforce:
-        oracle = _engine(specs).open_stream()
-        oracle.feed_events(events, enforce=True)
-    else:
-        oracle.feed_events(rest)
-    assert recovered.events_seen == oracle.events_seen, (tag, scenario)
-    assert listing(recovered.stream) == listing(oracle), (tag, scenario)
+    final = _admitted_by_oracle(specs, events) if enforce else events
+    assert recovered.events_seen == len(final), (tag, scenario)
+    assert listing(recovered.stream) == _oracle_listing(specs, final, not enforce), (tag, scenario)
     recovered.close()
 
 
@@ -281,11 +292,10 @@ def _run_record_boundary_case(seed, shape, directory):
             shutil.copytree(journal, crashed)
             os.truncate(_segment_path(crashed, 0), end)
             recovered = _engine(specs).recover_stream(crashed, checkpoint_every=None)
-            oracle = _engine(specs).open_stream()
-            oracle.feed_events(events[: cuts[records]])
             tag = (seed, shape, cuts, records)
+            oracle = _oracle_listing(specs, events[: cuts[records]])
             assert recovered.events_seen == cuts[records], tag
-            assert _listing(recovered.stream) == _listing(oracle), tag
+            assert _listing(recovered.stream) == oracle, tag
             recovered.close()
 
 
