@@ -633,7 +633,11 @@ class ColumnarHistorySet:
     """Whole object histories as one flat code column plus offsets.
 
     The batch-checking analogue of :class:`EncodedBatch`: history ``i`` is
-    ``code_list[offsets[i]:offsets[i + 1]]``.
+    ``code_list[offsets[i]:offsets[i + 1]]``.  The offsets (an
+    ``array('q')``) start at 0, never decrease and end at ``len(code_list)``,
+    so every code belongs to exactly one history; :meth:`from_histories`
+    always builds them so, and the engine refuses a bare-column set that
+    breaks it, naming the first bad history, before any kernel work.
     """
 
     __slots__ = ("code_list", "offsets", "alphabet", "max_code", "_codes", "_np_codes")
@@ -679,11 +683,6 @@ class ColumnarHistorySet:
         if self._codes is None:
             self._codes = _q_array(self.code_list)
         return self._codes
-
-    def lengths(self) -> List[int]:
-        """Per-history event counts."""
-        offsets = self.offsets
-        return [offsets[i + 1] - offsets[i] for i in range(len(self))]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarHistorySet({len(self)} histories, {len(self.code_list)} events)"

@@ -50,7 +50,7 @@ from repro.engine.vector import (
     PRODUCT_STATE_CAP,
     VectorKernel,
     check_batch,
-    check_history_codes,
+    check_history_columns,
     mark_present,
 )
 from repro.formal.alphabet import RoleSetAlphabet
@@ -463,9 +463,10 @@ class HistoryCheckerEngine:
         """``histories`` encoded once, or a pre-encoded set checked.
 
         A :class:`repro.engine.batch.ColumnarHistorySet` must come from this
-        engine's alphabet (or bare columns) and carry only codes the
+        engine's alphabet (or bare columns), have offsets that start at 0,
+        never decrease and end at its code count, and carry only codes the
         alphabet has handed out; otherwise ``ValueError`` names the first
-        bad position.
+        bad history or code position, before any kernel work.
         """
         if not isinstance(histories, ColumnarHistorySet):
             with TRACER.trace("encode.histories"):
@@ -475,7 +476,7 @@ class HistoryCheckerEngine:
                 "the encoded history set was built against a different alphabet "
                 "than this engine's; encode with engine.encode_histories"
             )
-        check_history_codes(histories, len(self._alphabet))
+        check_history_columns(histories, len(self._alphabet))
         return histories
 
     # ------------------------------------------------------------------ #
@@ -544,17 +545,20 @@ class HistoryCheckerEngine:
 
         The batch analogue of the ``enforce=True`` gate: for every history
         and every selected spec, the index of the first event after which
-        acceptance became impossible -- ``None`` when the history stays
-        salvageable throughout, ``-1`` when the spec's language is empty.
-        Shares the encode-once pipeline and the kernel of
-        :meth:`check_batch_all`.
+        acceptance became impossible (``int``) -- ``None`` when the history
+        stays salvageable throughout, ``-1`` when the spec's language is
+        empty.  Shares the encode-once pipeline, the boundary checks and the
+        kernel of :meth:`check_batch_all`; the kernel reads the set's array
+        columns in place and runs the same rounds as a check
+        (:meth:`repro.engine.vector.VectorKernel.fatal_histories`), without
+        moving the check counters.
         """
         selected = tuple(names) if names is not None else self.spec_names()
         if not selected:
             return {}
         history_set = self._history_set(histories)
         kernel = self._kernel_for(selected)
-        fatal = kernel.fatal_histories(history_set.code_list, history_set.lengths())
+        fatal = kernel.fatal_histories(history_set.codes, history_set.offsets)
         return {name: fatal[name] for name in selected}
 
     # ------------------------------------------------------------------ #

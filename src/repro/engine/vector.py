@@ -35,15 +35,16 @@ A pathologically skewed chunk (one object owning more than
 cached nested-list scalar loop instead of degenerating into thousands of
 near-empty rounds.
 
-Contiguous whole-history checking (``check_histories``) vectorizes
-differently: histories are sorted by length (descending, stable), and round
-``r`` advances the still-active prefix with one gather -- the active count
-per round comes from a single ``bincount``/``cumsum`` over the length
-column, so the loop runs ``max_length`` rounds of pure array ops.
+Whole histories (``check_histories``, ``fatal_histories``) share one round
+driver: histories are radix-sorted longest first, and round ``r`` advances
+the still-active prefix with one gather -- the active counts come from one
+``bincount``/``cumsum`` over the lengths.  Screening adds one row gather of
+live flags per round: doom is absorbing, so a first-fatal index is a count.
 
 Pre-encoded columns are checked at the ingest boundary
-(:func:`check_batch`, :func:`check_history_codes`) with one reduction per
-column, so a bare-column batch cannot index past a table or a state column.
+(:func:`check_batch`, :func:`check_history_columns`) with one reduction per
+column, so a bare-column batch cannot index past a table or a state column
+and a history set's offsets cut its codes into histories exactly.
 """
 
 from __future__ import annotations
@@ -120,11 +121,6 @@ def _history_code_array(history_set: ColumnarHistorySet):
     if history_set._np_codes is None:
         history_set._np_codes = np.frombuffer(history_set.codes, dtype=np.int64)
     return history_set._np_codes
-
-
-def _offset_array(history_set: ColumnarHistorySet):
-    """The offsets column as an int64 ndarray view (offsets never mutate)."""
-    return np.frombuffer(history_set.offsets, dtype=np.int64)
 
 
 def _q_column(values) -> array:
@@ -206,10 +202,36 @@ def check_batch(batch: EncodedBatch, n_symbols: int) -> None:
     batch._max_id = highs[0]
 
 
-def check_history_codes(history_set: ColumnarHistorySet, n_symbols: int) -> None:
-    """Refuse a history set with a code outside ``[0, n_symbols)``, whatever
-    its ``max_code`` claims (one unsigned max); the error names the first."""
+def check_history_columns(history_set: ColumnarHistorySet, n_symbols: int) -> None:
+    """Refuse a history set whose offsets do not cut its codes into
+    histories, or that carries a code outside ``[0, n_symbols)`` whatever
+    its ``max_code`` claims; the error names the first bad history or code.
+
+    The offsets must start at 0, never decrease and end at the number of
+    codes, so every code belongs to exactly one history.  One ``diff`` pass
+    over the offsets and one unsigned max over the codes.
+    """
     codes = _history_code_array(history_set)
+    offsets = np.asarray(history_set.offsets, dtype=np.int64)
+    n_codes = len(codes)
+    lengths = np.diff(offsets)
+    # 0 == offsets[0] <= offsets[1] <= ... <= offsets[-1] == n_codes
+    framed = len(offsets) and offsets[0] == 0 and offsets[-1] == n_codes
+    if not (framed and lengths.min(initial=0) == 0):
+        if len(offsets) < 2:
+            raise ValueError(
+                f"the encoded history set has offsets {offsets.tolist()} for {n_codes} "
+                f"codes; offsets must start at 0 and end at {n_codes}"
+            )
+        bad = (lengths < 0) | (offsets[1:] > n_codes)
+        bad[0] |= offsets[0] != 0
+        bad[-1] |= offsets[-1] != n_codes
+        index = int(np.argmax(bad))
+        raise ValueError(
+            f"the encoded history set's history {index} spans offsets {offsets[index]} to "
+            f"{offsets[index + 1]}; offsets must start at 0, never decrease and end at "
+            f"{n_codes}, the number of codes"
+        )
     if _unsigned_max(codes) >= n_symbols:
         position = int(np.argmax(codes.view(np.uint64) >= n_symbols))
         raise ValueError(
@@ -430,7 +452,7 @@ class _GroupTable:
         "table",
         "accepting",
         "doomed_next",
-        "doomed",
+        "live",
         "sink_index",
         "scalar_rows",
     )
@@ -438,13 +460,15 @@ class _GroupTable:
     def __init__(self) -> None:
         self.n_states = -1
         self.table = None
-        self.accepting: List = []
+        #: ``(specs, states)`` 0/1 acceptance flags: row ``j`` is spec ``j``'s.
+        self.accepting = None
         #: Per ``(state, code)`` offset of the raveled ``table``, whether the
         #: successor is doomed for some spec -- the enforcement gate's
         #: refusal flag, read at the offset the successor is gathered from.
         self.doomed_next = None
-        #: Per spec, the per-state doomed flags (drives ``fatal_histories``).
-        self.doomed: List = []
+        #: ``(states, specs)`` 0/1 flags, 1 where the spec is *not* doomed;
+        #: ``fatal_histories`` sums one row per history per round.
+        self.live = None
         self.sink_index = -1
         #: ``table.tolist()`` built on first use by the skew fallback.
         self.scalar_rows: Optional[List[List[int]]] = None
@@ -454,11 +478,12 @@ class _GroupTable:
         if n == self.n_states:
             return self
         self.table = np.array(group.rows, dtype=_dtype_for(n)).reshape(n, group.width)
-        # bytes() copies: the group bytearrays keep growing in place.
-        self.accepting = [np.frombuffer(bytes(acc), dtype=np.uint8) for acc in group.accepting]
+        # The joins copy: the group bytearrays keep growing in place.
+        self.accepting = np.frombuffer(b"".join(group.accepting), dtype=np.uint8).reshape(-1, n)
         alive = np.frombuffer(bytes(group.alive), dtype=np.uint8)
         self.doomed_next = (alive[self.table] == 0).ravel()
-        self.doomed = [np.frombuffer(bytes(col), dtype=np.uint8) for col in group.spec_doomed]
+        doomed = np.frombuffer(b"".join(group.spec_doomed), dtype=np.uint8).reshape(-1, n)
+        self.live = np.ascontiguousarray(doomed.T ^ 1)
         self.sink_index = group.sink
         self.n_states = n
         self.scalar_rows = None
@@ -816,57 +841,6 @@ class VectorKernel:
                 for column, values in zip(refused, tail):
                     column.append(np.asarray(values, dtype=np.int64))
 
-    def fatal_histories(self, code_list, lengths) -> Dict[str, List[Optional[int]]]:
-        """Per-spec first-fatal indices for contiguous per-history code runs.
-
-        The whole-history analogue of :func:`repro.engine.diagnostics.
-        replay`: for each history and spec, the index of the first event
-        after which acceptance became impossible -- ``None`` when the
-        history stays salvageable throughout, ``-1`` when the spec's
-        language is empty (doomed before any event).  This is the
-        screening primitive behind ``engine.screen_histories``.
-        """
-        codes = np.asarray(code_list, dtype=np.int64)
-        lens = np.asarray(lengths, dtype=np.int64)
-        n = len(lens)
-        if n == 0:
-            return {name: [] for name in self.names}
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        order = np.argsort(-lens, kind="stable")
-        starts = offsets[:-1][order]
-        max_length = int(lens[order[0]]) if n else 0
-        counts = np.bincount(lens, minlength=max_length + 1)
-        active = n - np.cumsum(counts)  # active[r] = #histories longer than r
-        results: Dict[str, List[Optional[int]]] = {}
-        for gi, group in enumerate(self.groups):
-            tab = self._table(gi)
-            table = tab.table
-            root = group.root
-            n_specs = len(group.specs)
-            states = np.full(n, root, dtype=table.dtype)
-            # -2 = still salvageable; -1 = empty language; r = fatal index.
-            fatal = np.full((n, n_specs), -2, dtype=np.int64)
-            for j in range(n_specs):
-                if tab.doomed[j][root]:
-                    fatal[:, j] = -1
-            for r in range(max_length):
-                a = int(active[r])
-                if a == 0:  # pragma: no cover - max_length bounds the loop
-                    break
-                states[:a] = table[states[:a], codes[starts[:a] + r]]
-                for j in range(n_specs):
-                    newly = (fatal[:a, j] == -2) & (tab.doomed[j][states[:a]] != 0)
-                    if newly.any():
-                        fatal[:a, j][newly] = r
-            unsorted = np.empty_like(fatal)
-            unsorted[order] = fatal
-            for j, name in enumerate(group.names):
-                results[name] = [
-                    None if value == -2 else value for value in unsorted[:, j].tolist()
-                ]
-        return results
-
     # ------------------------------------------------------------------ #
     # State translation
     # ------------------------------------------------------------------ #
@@ -1023,50 +997,88 @@ class VectorKernel:
         return lookups
 
     # ------------------------------------------------------------------ #
-    # Batch checking
+    # Whole histories: batch checking and screening
     # ------------------------------------------------------------------ #
-    def check_histories(self, code_list, lengths) -> Dict[str, List[bool]]:
-        """Per-spec verdicts for contiguous per-history code runs."""
-        codes = np.asarray(code_list, dtype=np.int64)
-        lens = np.asarray(lengths, dtype=np.int64)
-        n = len(lens)
-        obs = self.obs
-        if obs is not None:
-            obs.histories_total.inc(n)
-        if n == 0:
-            return {name: [] for name in self.names}
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        order = np.argsort(-lens, kind="stable")
-        starts = offsets[:-1][order]
-        max_length = int(lens[order[0]])
-        if obs is not None:
-            obs.gather_rounds.inc(max_length * len(self.groups))
-        counts = np.bincount(lens, minlength=max_length + 1)
-        active = n - np.cumsum(counts)  # active[r] = #histories longer than r
-        verdicts: Dict[str, List[bool]] = {}
-        final = np.empty(n, dtype=np.int64)
-        for gi, group in enumerate(self.groups):
-            tab = self._table(gi)
-            table = tab.table
-            states = np.full(n, group.root, dtype=table.dtype)
-            for r in range(max_length):
-                a = int(active[r])
-                if a == 0:  # pragma: no cover - max_length bounds the loop
-                    break
-                states[:a] = table[states[:a], codes[starts[:a] + r]]
-            final[order] = states
-            for j, name in enumerate(group.names):
-                accepting = tab.accepting[j]
-                verdicts[name] = list(map(bool, accepting[final].tolist()))
+    def check_histories(self, codes, offsets) -> Dict[str, List[bool]]:
+        """Per-spec verdicts for whole histories, in input order.
+
+        History ``i`` is ``codes[offsets[i]:offsets[i + 1]]``, the checked
+        layout of :class:`repro.engine.batch.ColumnarHistorySet` (int64
+        ndarrays and ``array('q')`` columns are read in place).  Verdicts
+        drain from the 0/1 acceptance flags as a ``bool`` view, so ``tolist``
+        builds the Python bools directly.
+        """
+        verdicts: Dict[str, List[bool]] = {name: [] for name in self.names}
+        for group, tab, final, _lived in self._run_histories(codes, offsets, self.obs, False):
+            flags = tab.accepting.take(final, axis=1).view(np.bool_)
+            verdicts.update(zip(group.names, flags.tolist()))
         return verdicts
 
     def check_history_set(self, history_set: ColumnarHistorySet) -> Dict[str, List[bool]]:
         """Per-spec verdicts for a whole encoded history set, read straight
         off its array columns."""
-        return self.check_histories(
-            _history_code_array(history_set), np.diff(_offset_array(history_set))
-        )
+        return self.check_histories(_history_code_array(history_set), history_set.offsets)
+
+    def fatal_histories(self, codes, offsets) -> Dict[str, List[Optional[int]]]:
+        """Per-spec first-fatal indices for the histories of :meth:`check_histories`.
+
+        The whole-history analogue of :func:`repro.engine.diagnostics.
+        replay` and the primitive behind ``engine.screen_histories``: the
+        index of the first event after which acceptance became impossible,
+        ``None`` when the history stays salvageable, ``-1`` when the spec
+        is doomed at its root (an empty language).  Doom is absorbing, so
+        the index is the number of rounds that left the spec non-doomed.
+        Moves no kernel counter.
+        """
+        fatal: Dict[str, List[Optional[int]]] = {name: [] for name in self.names}
+        lengths = np.diff(np.asarray(offsets, dtype=np.int64))
+        for group, tab, _final, lived in self._run_histories(codes, offsets, None, True):
+            indices = lived.T.astype(object)
+            indices[lived.T >= lengths] = None
+            indices[tab.live[group.root] == 0] = -1
+            fatal.update(zip(group.names, indices.tolist()))
+        return fatal
+
+    def _run_histories(self, codes, offsets, obs, count_live: bool):
+        """The one round loop of whole histories: yields per group ``(group,
+        table, final states, live rounds)``, in input order.
+
+        Histories go longest first by one stable argsort of ``max_length -
+        length`` in the narrowest dtype that holds it (numpy radix-sorts
+        keys of 16 bits or fewer), so round ``r`` advances the prefix of
+        histories longer than ``r`` with one flat gather.  With
+        ``count_live`` each round adds the new states' live-flag rows into
+        a ``(histories, specs)`` count in that dtype; otherwise it is
+        ``None``.  ``obs`` counts a check's histories and gather rounds.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        lengths = np.diff(offsets)
+        n = len(lengths)
+        if obs is not None:
+            obs.histories_total.inc(n)
+        if n == 0:
+            return
+        max_length = int(lengths.max())
+        if obs is not None:
+            obs.gather_rounds.inc(max_length * len(self.groups))
+        narrow = _dtype_for(max_length + 1)
+        order = np.argsort((max_length - lengths).astype(narrow), kind="stable")
+        starts = offsets[order]
+        active = (n - np.cumsum(np.bincount(lengths)))[:max_length].tolist()
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(n)
+        width = self.width
+        for gi, group in enumerate(self.groups):
+            tab = self._table(gi)
+            flat = tab.table.ravel()
+            states = np.full(n, group.root, dtype=flat.dtype)
+            lived = np.zeros((n, len(group.names)), dtype=narrow) if count_live else None
+            for r, a in enumerate(active):
+                head = states[:a] = flat[_flat_index(states[:a], width, codes[starts[:a] + r])]
+                if lived is not None:
+                    lived[:a] += tab.live.take(head, axis=0)
+            yield group, tab, states[inverse], None if lived is None else lived.take(inverse, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = "+".join(str(len(group)) for group in self.groups)
@@ -1180,7 +1192,7 @@ __all__ = [
     "PRODUCT_STATE_CAP",
     "VectorKernel",
     "check_batch",
-    "check_history_codes",
+    "check_history_columns",
     "mark_present",
     "pack_index_array",
 ]

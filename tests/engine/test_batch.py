@@ -139,7 +139,9 @@ class TestColumnarHistorySet:
         histories, _events = generators.banking_event_stream(seed=5, objects=40, mean_length=5)
         history_set = ColumnarHistorySet.from_histories(histories, alphabet)
         assert len(history_set) == len(histories)
-        assert history_set.lengths() == [len(history) for history in histories]
+        offsets = history_set.offsets
+        lengths = [stop - start for start, stop in zip(offsets, offsets[1:])]
+        assert lengths == [len(history) for history in histories]
         start, stop = history_set.offsets[3], history_set.offsets[4]
         assert [alphabet.symbol(code) for code in history_set.code_list[start:stop]] == list(
             histories[3]

@@ -30,7 +30,12 @@ from collections import deque
 
 import pytest
 
-from repro.engine import EnforcementError, EnforcementReport, HistoryCheckerEngine
+from repro.engine import (
+    PRODUCT_STATE_CAP,
+    EnforcementError,
+    EnforcementReport,
+    HistoryCheckerEngine,
+)
 from repro.engine.diagnostics import replay
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads import banking, generators
@@ -390,14 +395,42 @@ def test_unlimited_traces_remain_the_default():
 # stats() shape contract
 # --------------------------------------------------------------------------- #
 STATS_KEYS = {"specs", "alphabet_size", "spec_cache", "kernel_cache", "observability"}
+CACHE_KEYS = {"hits", "misses", "evictions", "size", "maxsize"}
+#: The counters one whole-history check moves, and how far.
+BATCH_COUNTERS = (
+    "repro_engine_check_batches_total",
+    "repro_kernel_histories_total",
+    "repro_kernel_gather_rounds_total",
+    'repro_engine_verdicts_total{verdict="pass"}',
+    'repro_engine_verdicts_total{verdict="fail"}',
+)
 
 
 def test_stats_top_level_keys_are_a_frozen_schema():
     """Dashboards key on these names: adding or dropping one is a contract
-    change.  Instrumented engines add exactly ``metrics``."""
+    change.  Instrumented engines add exactly ``metrics``; both cache
+    sections have one key set, and one ``check_batch_all`` moves the batch
+    counters by exactly its histories, rounds and verdicts."""
     assert set(HistoryCheckerEngine(obs=False).stats()) == STATS_KEYS
     instrumented = HistoryCheckerEngine(obs=MetricsRegistry("stats")).stats()
     assert set(instrumented) == STATS_KEYS | {"metrics"}
+    assert set(instrumented["spec_cache"]) == set(instrumented["kernel_cache"]) == CACHE_KEYS
+
+    histories, _events, suite = conforming_banking_stream(seed=5, objects=40, mean_length=8)
+    for cap, groups in ((PRODUCT_STATE_CAP, 1), (3, len(suite))):
+        engine = HistoryCheckerEngine(obs=MetricsRegistry(f"batch-{cap}"), product_cap=cap)
+        for name, spec in suite.items():
+            engine.add_spec(name, spec)
+        engine.check_batch_all(histories)
+        metrics = engine.stats()["metrics"]
+        assert len(engine._kernel_for(tuple(suite)).groups) == groups
+        check, checked, rounds, passes, fails = (metrics[key] for key in BATCH_COUNTERS)
+        assert (check, checked) == (1, len(histories))
+        assert rounds == max(map(len, histories)) * groups
+        assert passes + fails == len(histories) * len(suite)
+        engine.screen_histories(histories)
+        after = engine.stats()["metrics"]
+        assert [after[key] for key in BATCH_COUNTERS] == [metrics[key] for key in BATCH_COUNTERS]
 
 
 # --------------------------------------------------------------------------- #

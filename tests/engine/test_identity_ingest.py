@@ -567,3 +567,40 @@ def test_history_sets_with_out_of_range_codes_are_refused():
     with pytest.raises(ValueError, match=r"at position 1\b"):
         engine.screen_histories(past)
     assert engine.check_batch_all(encoded) == engine.check_batch_all(histories)
+
+
+@pytest.mark.parametrize(
+    "offsets,history",
+    [
+        ([0, 2, 21], 1),  # runs past the codes
+        ([-2, 2, 16], 0),  # starts before them
+        ([0, 4, 2, 16], 1),  # runs backwards
+        ([3, 5, 16], 0),  # codes 0..2 belong to no history
+        ([0, 2, 13], 1),  # codes 13..15 belong to no history
+    ],
+    ids=["past-end", "negative-start", "decreasing", "late-start", "early-end"],
+)
+def test_history_sets_with_bad_offsets_are_refused(offsets, history):
+    # Offsets must start at 0, never decrease and end at the code count; a
+    # set that breaks it is refused naming the first bad history, before
+    # any kernel is built -- not by an IndexError from inside the rounds,
+    # nor with verdicts for codes that belong to no history.
+    histories, _events, _suite = generators.conforming_banking_stream(
+        seed=3, objects=40, mean_length=6
+    )
+    engine = _suite_engine()
+    codes = engine.encode_histories(histories).code_list[:16]
+    bare = ColumnarHistorySet(codes, array("q", offsets), max_code=max(codes))
+    for call in (
+        engine.check_batch_all,
+        lambda source: engine.check_batch("checking_roles", source),
+        engine.screen_histories,
+    ):
+        with pytest.raises(ValueError, match=rf"history {history} spans offsets"):
+            call(bare)
+    assert engine.stats()["kernel_cache"]["size"] == 0
+    good = ColumnarHistorySet(codes, array("q", [0, 2, 16]), max_code=max(codes))
+    symbol = engine.alphabet.symbol
+    raw = [[symbol(code) for code in codes[:2]], [symbol(code) for code in codes[2:]]]
+    assert engine.check_batch_all(good) == engine.check_batch_all(raw)
+    assert engine.screen_histories(good) == engine.screen_histories(raw)

@@ -70,6 +70,7 @@ def test_dtype_boundary_counts_agree_with_the_spec(n_states):
     # last two alias under a too-narrow dtype), plus holds mixed in.
     lengths = [n_states - 1, n_states, n_states + 1, 3]
     code_list: list = []
+    offsets = [0]
     histories = []
     for length in lengths:
         codes = [0] * length
@@ -77,7 +78,8 @@ def test_dtype_boundary_counts_agree_with_the_spec(n_states):
             codes[1] = 1  # one hold: only length-1 increments
         histories.append(codes)
         code_list.extend(codes)
-    verdicts = kernel.check_histories(code_list, [len(h) for h in histories])
+        offsets.append(len(code_list))
+    verdicts = kernel.check_histories(code_list, offsets)
     expected = []
     for codes in histories:
         state = 0
@@ -140,12 +142,12 @@ def test_alphabet_growth_re_extends_remap_columns():
 def test_empty_and_single_object_columns():
     spec = counter_spec(5)
     kernel = VectorKernel([("count", spec)], width=2)
-    assert kernel.check_histories([], []) == {"count": []}
+    assert kernel.check_histories([], [0]) == {"count": []}
     columns = kernel.new_columns(0)
     assert len(columns[0]) == 0
     assert kernel.verdicts_of("count", columns, range(0)) == {}
     # A single object wraps the counter exactly once.
-    assert kernel.check_histories([0] * 5, [5]) == {"count": [True]}
+    assert kernel.check_histories([0] * 5, [0, 5]) == {"count": [True]}
     kernel.grow_columns(columns, 1)
     assert columns[0].tolist() == [0]
 

@@ -8,13 +8,24 @@ for every object and every spec, the fused product kernel's verdict
 ``DFA.accepts`` run -- including across a mid-stream spec re-registration,
 under LRU cache eviction pressure, and with the product cap forcing the
 kernel into multiple groups.
+
+The whole-history paths (``check_batch_all`` and ``screen_histories``) are
+also checked bounded-exhaustively, after VeriEQL: every history up to a
+depth over the banking role sets plus an alien one, against ``DFA.accepts``
+and the ``diagnostics.replay`` fatal index, raw and pre-encoded, fused and
+one spec per group -- plus sets whose longest history sits on each edge of
+the kernel's narrowed length dtypes.
 """
 
+import itertools
 import random
+import warnings
 
 import pytest
 
 from repro.engine import CursorTable, HistoryCheckerEngine, compile_spec
+from repro.engine.diagnostics import replay
+from repro.formal.nfa import NFA
 from repro.workloads import banking, generators, immigration, phd, three_class, university
 
 ALIEN = frozenset({"ALIEN_CLASS"})
@@ -213,3 +224,84 @@ def test_tiny_product_cap_splits_groups_without_changing_verdicts():
     split_stream.feed_events(events)
     for name in suite:
         assert split_stream.verdicts(name) == fused_stream.verdicts(name), name
+
+
+# --------------------------------------------------------------------------- #
+# Bounded-exhaustive whole-history checks and screens
+# --------------------------------------------------------------------------- #
+#: Tier-1 depth of the exhaustive history set; deeper runs add one level.
+EXHAUSTIVE_DEPTH = 5
+
+
+def _screening_suite():
+    """The banking suite plus an empty-language spec, doomed at its root."""
+    suite = generators.banking_monitoring_suite()
+    suite["impossible"] = NFA.empty_language(banking.ROLE_SETS)
+    return suite
+
+
+def _suite_engines(suite, caps):
+    engines = []
+    for cap in caps:
+        engine = HistoryCheckerEngine() if cap is None else HistoryCheckerEngine(product_cap=cap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lint flags the empty language
+            for name, spec in suite.items():
+                engine.add_spec(name, spec)
+        engines.append(engine)
+    return engines
+
+
+def _assert_whole_history_paths_agree(histories, suite, caps=(None,)):
+    """``check_batch_all`` and ``screen_histories`` equal the per-history
+    ``DFA.accepts`` and ``replay`` oracles, raw and pre-encoded, on an engine
+    per product cap; verdicts are ``bool`` and fatal indices ``int``/``None``."""
+    engines = _suite_engines(suite, caps)
+    compiled = {name: engines[0].compiled(name) for name in suite}
+    dfas = {name: getattr(spec, "automaton", spec).determinize() for name, spec in suite.items()}
+    verdicts = {name: [dfa.accepts(h) for h in histories] for name, dfa in dfas.items()}
+    fatal = {name: [replay(spec, h)[1] for h in histories] for name, spec in compiled.items()}
+    for engine in engines:
+        for source in (histories, engine.encode_histories(histories)):
+            checked = engine.check_batch_all(source)
+            screened = engine.screen_histories(source)
+            assert checked == verdicts and screened == fatal
+            assert {type(v) for column in checked.values() for v in column} <= {bool}
+            assert {type(v) for column in screened.values() for v in column} <= {int, type(None)}
+
+
+def test_whole_history_paths_agree_on_every_short_history(fuzz_rounds):
+    depth = EXHAUSTIVE_DEPTH + (fuzz_rounds > 1)
+    symbols = tuple(banking.ROLE_SETS) + (ALIEN,)
+    histories = [
+        word for length in range(depth + 1) for word in itertools.product(symbols, repeat=length)
+    ]
+    histories += [()] * 3
+    random.Random(2024).shuffle(histories)
+    _assert_whole_history_paths_agree(histories, _screening_suite(), caps=(None, 3))
+
+
+@pytest.mark.parametrize("longest", [255, 256, 65_536])
+def test_whole_history_paths_agree_across_length_dtype_edges(longest):
+    # The kernel sorts and counts lengths in the narrowest dtype holding the
+    # longest: 255 fits uint8, 256 needs uint16 and 65 536 uint32.  A history
+    # that stays salvageable through all its events counts ``longest`` live
+    # rounds, so a too-narrow count would wrap.
+    empty, regular = banking.EMPTY_ROLE_SET, banking.ROLE_REGULAR
+    rng = random.Random(longest)
+    symbols = tuple(banking.ROLE_SETS) + (ALIEN,)
+    histories = [
+        (empty,) * longest,
+        (empty,) * (longest - 1) + (ALIEN,),
+        (regular,) + (empty,) * (longest - 1),
+        (empty,) * (longest - 1),
+        (),
+    ]
+    histories += [tuple(rng.choices(symbols, k=rng.randrange(8))) for _ in range(40)]
+    rng.shuffle(histories)
+    _assert_whole_history_paths_agree(histories, _screening_suite())
+
+
+@pytest.mark.parametrize("count", [0, 4], ids=["empty-set", "all-empty"])
+def test_whole_history_paths_agree_without_events(count):
+    _assert_whole_history_paths_agree([()] * count, _screening_suite())
