@@ -7,6 +7,12 @@ monitoring suite serializes (snapshot) and rebuilds (restore) in **under
 its state -- the snapshot cost scales with the number of *objects*, not
 with the number of events replayed into them.  The restored session is
 asserted verdict-identical before any timing claim is made.
+
+Outside the tracked unit, E24 also pins the state carry of a kernel rebuild
+on a restored copy: the first feed carrying a never-seen role set, and the
+first feed after a same-text re-registration of one spec, each cost at
+most 4x a snapshot+restore cycle and leave every other verdict as it was.
+The carry works once per distinct state, not once per object.
 """
 
 import time
@@ -71,3 +77,40 @@ def test_e24_snapshot_restore_beats_refeeding(benchmark, run_once):
     assert ratio < 0.10, (
         f"snapshot+restore took {ratio:.1%} of re-feeding the stream (>= 10%)"
     )
+
+    blob = stream.snapshot()
+    expected = {name: stream.verdicts(name) for name in suite}
+    target = next(iter(suite))
+    fresh = len(histories)  # an object id the session has never seen
+
+    def first_feed(copy, event, kept):
+        start = time.perf_counter()
+        copy.feed_events([event])
+        elapsed = time.perf_counter() - start
+        for name in kept:
+            verdicts = copy.verdicts(name)
+            verdicts.pop(fresh)
+            assert verdicts == expected[name], name
+        return elapsed
+
+    alien_elapsed = reregister_elapsed = float("inf")
+    for attempt in range(2):
+        alien = (fresh, frozenset({f"ALIEN-{attempt}"}))
+        alien_elapsed = min(alien_elapsed, first_feed(engine.restore_stream(blob), alien, suite))
+        copy = engine.restore_stream(blob)
+        engine.add_spec(target, suite[target])  # same text: a reset and a rebuild
+        kept = [name for name in suite if name != target]
+        known = (fresh, events[0][1])
+        reregister_elapsed = min(reregister_elapsed, first_feed(copy, known, kept))
+        assert copy.last_revalidation.specs == (target,)
+    print(
+        f"[E24] rebuild feeds: never-seen role set {alien_elapsed / cycle_elapsed:.2f}x, "
+        f"same-text re-registration {reregister_elapsed / cycle_elapsed:.2f}x of a cycle"
+    )
+    for label, elapsed in (
+        ("never-seen role set", alien_elapsed),
+        ("re-registration", reregister_elapsed),
+    ):
+        assert elapsed <= 4 * cycle_elapsed, (
+            f"the {label} rebuild feed took {elapsed / cycle_elapsed:.1f}x a checkpoint cycle"
+        )

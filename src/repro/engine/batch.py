@@ -320,6 +320,14 @@ class ObjectInterner:
         universe = self._universe
         return code if code < universe else self._objects[code - universe]
 
+    def objects(self, codes: List[int]) -> List[ObjectId]:
+        """:meth:`object` of each of ``codes``; identity codes are their own
+        ids, so an identity-mode list comes back as it is."""
+        if not self._objects:
+            return codes
+        universe, objects = self._universe, self._objects
+        return [code if code < universe else objects[code - universe] for code in codes]
+
     def to_snapshot(self) -> Tuple:
         """The id space as a picklable tuple.
 

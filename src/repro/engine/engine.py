@@ -36,6 +36,8 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.engine.batch import ColumnarHistorySet, EncodedBatch, ObjectInterner
 from repro.engine.cache import SpecCache
 from repro.engine.compiler import CompiledSpec, compile_spec
@@ -550,15 +552,20 @@ class HistoryCheckerEngine:
         empty.  Shares the encode-once pipeline, the boundary checks and the
         kernel of :meth:`check_batch_all`; the kernel reads the set's array
         columns in place and runs the same rounds as a check
-        (:meth:`repro.engine.vector.VectorKernel.fatal_histories`), without
-        moving the check counters.
+        (:meth:`repro.engine.vector.VectorKernel.fatal_histories`), moving
+        the kernel counters as a check does and its own screen counter, not
+        the check and verdict counters; traced as ``engine.screen_histories``.
         """
         selected = tuple(names) if names is not None else self.spec_names()
         if not selected:
             return {}
-        history_set = self._history_set(histories)
-        kernel = self._kernel_for(selected)
-        fatal = kernel.fatal_histories(history_set.codes, history_set.offsets)
+        if self._obs is not None:
+            self._obs.screen_batches_total.inc()
+        with TRACER.trace("engine.screen_histories", specs=len(selected)):
+            history_set = self._history_set(histories)
+            kernel = self._kernel_for(selected)
+            with TRACER.trace("kernel.screen"):
+                fatal = kernel.fatal_histories(history_set.codes, history_set.offsets)
         return {name: fatal[name] for name in selected}
 
     # ------------------------------------------------------------------ #
@@ -782,13 +789,15 @@ class StreamChecker:
         return self._interner
 
     def _resolve_kernel(self) -> VectorKernel:
-        """The current kernel, translating states across rebuilds.
+        """The current kernel, carrying states across rebuilds.
 
         Every call resolves each spec through the engine's compile cache
         (evictions and recompilations stay visible in ``cache_stats``).  A
         changed generation resets that spec's histories and seen set; a
         changed kernel (re-registration, alphabet growth, cache churn)
-        carries every other spec's per-object states over by translation.
+        carries every other spec's per-object states over, with the previous
+        kernel's groups as :meth:`~repro.engine.vector.VectorKernel.
+        carry_columns` sources: one ``ensure_state`` per distinct state.
         """
         engine = self._engine
         reset = []
@@ -798,7 +807,7 @@ class StreamChecker:
                 self._generations[name] = generation
                 reset.append(name)
         if reset and self._kernel is not None:
-            # Delta extraction *before* translation discards the old states:
+            # Delta extraction *before* the carry discards the old states:
             # only objects that had moved off the reset spec's initial state
             # carried progress worth re-validating.
             self.last_revalidation = self._revalidation_report(reset)
@@ -807,7 +816,11 @@ class StreamChecker:
             if self._kernel is None:
                 self._columns = kernel.new_columns(len(self._interner))
             else:
-                self._columns = kernel.translate_columns(self._kernel, self._columns, reset)
+                sources = [
+                    (group.names, group.decode, column)
+                    for group, column in zip(self._kernel.groups, self._columns)
+                ]
+                self._columns = kernel.carry_columns(sources, reset)
             self._kernel = kernel
         for name in reset:
             self._seen[name] = {}
@@ -819,10 +832,11 @@ class StreamChecker:
     def _revalidation_report(self, reset: List[str]) -> RevalidationReport:
         """The Decker delta of a pending reset: who actually needs re-checking.
 
-        Reads the *old* kernel's columns (the caller has not translated
+        Reads the *old* kernel's columns (the caller has not carried them
         yet): an object whose component state for a reset spec still equals
         the spec's initial state carried no progress, so the reset changes
-        nothing for it.  On recording sessions, each changed object's full
+        nothing for it (one flag per product state, gathered through the
+        column).  On recording sessions, each changed object's full
         recorded trace is replayed once through the **new** table --
         ``replayed`` counts exactly those replays, never the unchanged
         population.
@@ -839,9 +853,9 @@ class StreamChecker:
             group_index, j = old_kernel.locate[name]
             group = old_kernel.groups[group_index]
             initial = group.decode[group.root][j]
-            states = old_kernel.component_states(self._columns, name)
-            moved = [dense for dense, state in enumerate(states) if state != initial]
-            changed[name] = tuple(map(decode_object, moved))
+            flags = np.array([state[j] != initial for state in group.decode])
+            moved = np.flatnonzero(flags[self._columns[group_index]]).tolist()
+            changed[name] = tuple(self._interner.objects(moved))
             if verdicts is not None:
                 spec = engine.compiled(name)  # the incoming generation
                 symbol = engine.alphabet.symbol

@@ -64,7 +64,13 @@ Restore validates, never trusts:
   holds across processes and engine instances.  A mismatch (the spec was
   re-registered with a different automaton since the snapshot) resets that
   spec to its initial state; the reset names are reported on
-  ``StreamChecker.reset_on_restore``.
+  ``StreamChecker.reset_on_restore``;
+* the group payloads are checked before any state is carried in: every
+  stream spec is named by exactly one payload, every listed state is as
+  wide as its payload's names, every component of a spec that is not reset
+  is a state of that spec's compiled table, every column entry indexes the
+  listed states, and the columns are equally long and no longer than the
+  restored interner.
 
 **The generation-vs-fingerprint contract.**  Live sessions and restore
 answer to *different* authorities, deliberately.  A live session resets a
@@ -81,11 +87,11 @@ adopting the engine's current generations) and ``reset_on_restore`` stays
 restored stream never resets retroactively for generation bumps that
 happened between dump and restore.
 
-States are translated, not copied: the restoring engine's kernel may
-group specs differently (different shared-alphabet width, different
-product-cap packing), so each occupied product state is re-materialized
-through ``ensure_state`` from its per-spec components -- once per distinct
-state, then fanned out to the per-object column at C speed.
+States are carried, not copied, along the path a live kernel rebuild
+takes (:meth:`repro.engine.vector.VectorKernel.carry_columns`): the
+restoring kernel may group specs differently (other alphabet width, other
+product cap), so each distinct state is re-materialized from its per-spec
+components once, and numpy fans it out to the per-object columns.
 """
 
 from __future__ import annotations
@@ -268,24 +274,6 @@ def _parse(blob: bytes) -> Dict:
     return decoded
 
 
-def _spec_state_columns(
-    body: Dict, names: Tuple[str, ...], initials: Dict[str, int], n_objects: int
-) -> Dict[str, List[int]]:
-    """Per-spec DFA state columns recovered from the group payloads."""
-    states: Dict[str, List[int]] = {}
-    for group in body["groups"]:
-        indices = _unpack_column(group["column"], limit=_COLUMN_LIMIT)
-        for j, name in enumerate(group["names"]):
-            lookup = [signature[j] for signature in group["states"]]
-            states[name] = list(map(lookup.__getitem__, indices))
-    for name in names:
-        column = states.get(name)
-        if column is None or len(column) < n_objects:
-            column = states[name] = (column or [])
-            column.extend([initials[name]] * (n_objects - len(column)))
-    return states
-
-
 def load_stream(engine, blob: bytes):
     """Rebuild a :class:`StreamChecker` session on ``engine`` from a snapshot.
 
@@ -313,9 +301,8 @@ def load_stream(engine, blob: bytes):
     obs = engine._obs
     if obs is not None:
         obs.snapshot_restore_bytes.inc(len(blob))
-        # Every occupied product state listed in a group payload is
-        # re-materialized through ensure_state (or re-adopted verbatim on
-        # the fast path) -- either way it is one unit of restore work.
+        # Every occupied product state a group payload lists is one unit of
+        # restore work: the kernel carries each distinct state in once.
         obs.snapshot_state_translations.inc(group_states)
     try:
         return _rebuild(engine, body, names)
@@ -323,38 +310,28 @@ def load_stream(engine, blob: bytes):
         raise
     except Exception as exc:
         # The body passed the CRC and the structure checks, yet the rebuild
-        # tripped -- inconsistent column lengths, out-of-range indices, the
-        # wrong types inside a well-formed container.  All corruption, all
-        # one exception type for callers.
+        # tripped -- a column that does not unpack, a missing key, the wrong
+        # types inside a well-formed container.  All corruption, all one
+        # exception type for callers.
         raise SnapshotError(f"corrupt stream snapshot: {exc}") from exc
 
 
 def _rebuild(engine, body: Dict, names: Tuple[str, ...]):
-    """The post-validation restore; every failure in here is corruption."""
+    """The post-validation restore; every failure in here is corruption.
+    The kernel checks and carries in its own group payloads."""
     from repro.engine.engine import StreamChecker
 
-    compiled = {name: engine.compiled(name) for name in names}
     resets = tuple(
         name
         for name in names
-        if compiled[name].fingerprint() != body["specs"][name]["fingerprint"]
+        if engine.compiled(name).fingerprint() != body["specs"][name]["fingerprint"]
     )
     stream = StreamChecker(engine, names, record=body["traces"] is not None)
     stream._interner = ObjectInterner.from_snapshot(body["objects"])
     n_objects = len(stream._interner)
     if names:
         kernel = engine._kernel_for(names)
-        initials = {name: compiled[name].initial for name in names}
-        # Fast path: grouping matches, so the kernel rebuilds its columns
-        # directly from the group payloads; otherwise states are decomposed
-        # per spec and re-fused through the general translation path.
-        columns = kernel.restore_group_columns(body["groups"], initials, set(resets))
-        if columns is None:
-            spec_states = _spec_state_columns(body, names, initials, n_objects)
-            for name in resets:
-                spec_states[name] = [initials[name]] * n_objects
-            columns = kernel.columns_from_states(spec_states, n_objects)
-        stream._columns = columns
+        stream._columns = kernel.restore_columns(body["groups"], resets, n_objects)
         kernel.grow_columns(stream._columns, n_objects)
         stream._kernel = kernel
     stream._generations = {name: engine.generation(name) for name in names}

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import zlib
 from array import array
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,6 +64,7 @@ from repro.engine.batch import (
     _unpack_array,
 )
 from repro.engine.compiler import CompiledSpec
+from repro.engine.snapshot import SnapshotError
 
 #: Product states per fused group before the kernel starts a new group.
 #: Doomed-state collapse keeps realistic spec sets far below this; the cap
@@ -315,8 +317,8 @@ class _ProductGroup:
     adversarial spec combination aborts after at most ``cap + 1`` states
     instead of materializing a huge product first and checking afterwards.
     The cap applies to the initial build only; later ``ensure_state`` calls
-    (state translation across kernel rebuilds) may grow past it, bounded by
-    the states streams actually occupy.
+    (the state carry of kernel rebuilds and restores) may grow past it,
+    bounded by the states streams actually occupy.
     """
 
     __slots__ = (
@@ -440,8 +442,8 @@ def _build_group(
 class _GroupTable:
     """The numpy mirror of one product group: flat table plus flag columns.
 
-    Rebuilt lazily whenever the group has grown (``ensure_state`` during
-    state translation or snapshot restore materializes fresh states);
+    Rebuilt lazily whenever the group has grown (``ensure_state`` during a
+    state carry materializes fresh states);
     existing state indices never change, so a rebuild only *extends* the
     meaning of a column -- and may widen the dtype, which
     :meth:`VectorKernel.grow_columns` propagates to the columns.
@@ -707,21 +709,6 @@ class VectorKernel:
                     newly.append(name)
         return tuple(newly) if newly else tuple(already)
 
-    def component_states(self, columns: List, name: str) -> List[int]:
-        """One spec's per-object DFA state column (decoded from the product).
-
-        The delta-extraction read of re-registration: objects still at the
-        spec's initial state need no re-validation after a reset.
-        """
-        group_index, j = self.locate[name]
-        group = self.groups[group_index]
-        decode = np.fromiter(
-            (signature[j] for signature in group.decode),
-            dtype=np.int64,
-            count=len(group.decode),
-        )
-        return decode[columns[group_index]].tolist()
-
     def advance_all_enforced(self, columns: List, batch: EncodedBatch) -> Tuple[List, Rejections]:
         """Screen-and-advance one batch on *copies* of ``columns``.
 
@@ -842,83 +829,54 @@ class VectorKernel:
                     column.append(np.asarray(values, dtype=np.int64))
 
     # ------------------------------------------------------------------ #
-    # State translation
+    # State carry: kernel rebuilds and snapshot restores
     # ------------------------------------------------------------------ #
-    def _columns_from_indices(self, index_columns: List[List[int]]) -> List:
-        # Sync first: translation/restore may have just materialized states
-        # the cached tables have not seen yet.
-        return [
-            np.asarray(indices, dtype=self._table(gi).table.dtype)
-            for gi, indices in enumerate(index_columns)
-        ]
+    def carry_columns(self, sources: Sequence[Tuple], resets: Sequence[str] = ()) -> List:
+        """This kernel's state columns for the objects ``sources`` hold.
 
-    def translate_columns(
-        self,
-        previous: "VectorKernel",
-        columns: List,
-        reset: Sequence[str] = (),
-    ) -> List:
-        """Carry per-object states from ``previous`` into this kernel.
-
-        Specs named in ``reset`` restart at their (new) initial state; every
-        other spec keeps its progress -- compiled tables are deterministic,
-        so state numbers transfer across recompiles and kernel rebuilds.
-        Memoized per distinct cross-group state signature.
+        A source is ``(names, states, column)``: ``states[i]`` is source state
+        ``i`` as per-spec DFA components in ``names`` order, ``column[o]`` is
+        object ``o``'s source state; the columns are equally long and the
+        sources name each spec of this kernel once.  Specs in ``resets``
+        restart at their initial state, the rest keep their components
+        (compilation is deterministic).  Only numpy touches objects: one
+        ``bincount`` over the first column, one ``np.unique`` folding each
+        further one into a signature key, one gather per result column; so
+        ``ensure_state`` runs once per distinct signature, ascending.
         """
-        index_columns = [column.tolist() for column in columns]
-        n_objects = len(index_columns[0]) if index_columns else 0
-        resets = set(reset)
-        memo: Dict[Tuple[int, ...], List[int]] = {}
-        fresh: List[List[int]] = [[] for _ in self.groups]
-        initials = {
-            name: self.groups[gi].specs[j].initial for name, (gi, j) in self.locate.items()
-        }
-        for o in range(n_objects):
-            signature = tuple(column[o] for column in index_columns)
-            indices = memo.get(signature)
-            if indices is None:
-                states: Dict[str, int] = {}
-                for group, index in zip(previous.groups, signature):
-                    components = group.decode[index]
-                    for j, name in enumerate(group.names):
-                        states[name] = components[j]
-                for name in self.names:
-                    if name in resets or name not in states:
-                        states[name] = initials[name]
-                indices = [
-                    group.ensure_state(tuple(states[name] for name in group.names))
-                    for group in self.groups
-                ]
-                memo[signature] = indices
-            for target, index in zip(fresh, indices):
-                target.append(index)
-        return self._columns_from_indices(fresh)
-
-    def columns_from_states(self, states: Dict[str, Sequence[int]], n_objects: int) -> List:
-        """Dense state columns rebuilt from *per-spec* DFA state columns.
-
-        The general restore path of :mod:`repro.engine.snapshot`: compiled
-        tables are deterministic, so per-spec state integers are stable
-        across processes and kernel rebuilds; each object's cross-spec
-        signature is materialized into this kernel's product groups via
-        ``ensure_state`` (memoized per distinct signature, so the loop cost
-        is dominated by the zip, not the product walk).
-        """
-        index_columns: List[List[int]] = []
+        key = occupied = None
+        picks: List = []  # per source, its state at each key value
+        for _names, states, column in sources:
+            n = len(states)
+            column = column.astype(np.intp, copy=False)  # intp gathers ~3x faster
+            if key is None:
+                # The first column is its own key; bincount finds its values.
+                key, picks = column, [np.arange(n)]
+                occupied = np.flatnonzero(np.bincount(column, minlength=n))
+            else:
+                occupied, key = np.unique(key * n + column, return_inverse=True)
+                picks = [pick[occupied // n] for pick in picks] + [occupied % n]
+                occupied = np.arange(len(occupied))
+        components: Dict[str, List[int]] = {}
+        for (names, states, _column), pick in zip(sources, picks):
+            rows = [states[i] for i in pick[occupied].tolist()]
+            for j, name in enumerate(names):
+                components[name] = [row[j] for row in rows]
+        lookups = []
         for group in self.groups:
-            group_states = [states[name] for name in group.names]
-            memo: Dict[Tuple[int, ...], int] = {}
-            indices: List[int] = []
-            append = indices.append
-            for signature in zip(*group_states):
-                index = memo.get(signature)
-                if index is None:
-                    index = memo[signature] = group.ensure_state(signature)
-                append(index)
-            if len(indices) != n_objects:  # zero-spec group cannot happen; guard anyway
-                indices.extend([group.root] * (n_objects - len(indices)))
-            index_columns.append(indices)
-        return self._columns_from_indices(index_columns)
+            parts = [
+                [spec.initial] * len(occupied) if name in resets else components[name]
+                for name, spec in zip(group.names, group.specs)
+            ]
+            lookups.append([group.ensure_state(state) for state in zip(*parts)])
+        columns = []
+        for gi, lookup in enumerate(lookups):
+            # Indexed by key value; synced after every ensure_state, as a
+            # fresh state may widen the dtype.
+            table = np.zeros(len(picks[0]), dtype=self._table(gi).table.dtype)
+            table[occupied] = lookup
+            columns.append(table[key])
+        return columns
 
     # ------------------------------------------------------------------ #
     # Snapshot payloads
@@ -928,7 +886,7 @@ class VectorKernel:
 
         The *occupied* product states are listed once as per-spec component
         tuples and the per-object column ships as narrow-dtype indices into
-        that list.
+        that list; :meth:`restore_columns` reads them back.
         """
         groups: List[Dict] = []
         for group, column in zip(self.groups, columns):
@@ -946,55 +904,31 @@ class VectorKernel:
             )
         return groups
 
-    def restore_group_columns(
-        self, groups: Sequence[Dict], initials: Dict[str, int], resets: set
-    ) -> Optional[List]:
-        """Columns rebuilt group-for-group when the snapshot grouping matches.
+    def restore_columns(
+        self, payloads: Sequence[Dict], resets: Sequence[str], n_objects: int
+    ) -> List:
+        """The state columns of :meth:`snapshot_groups` payloads, carried in.
 
-        The common restore (same specs, same registration order, same
-        product packing): each *occupied* product state is re-materialized
-        exactly once, and each column is one ndarray gather through the
-        lookup straight off the unpacked wire buffer.  Returns ``None`` when
-        this kernel groups specs differently, handing over to the general
-        per-spec translation path (:meth:`columns_from_states`).
+        The payloads come off the wire and may group the specs differently.
+        Each is checked against the restore rules of
+        :mod:`repro.engine.snapshot` before any state is materialized, and
+        ``SnapshotError`` names the first group payload that breaks one.
         """
-        lookups = self._restore_lookups(groups, initials, resets)
-        if lookups is None:
-            return None
-        columns = []
-        for gi, (payload, lookup) in enumerate(zip(groups, lookups)):
+        sources: List[Tuple] = []
+        unnamed = Counter(self.names)
+        for gi, payload in enumerate(payloads):
+            names, states = tuple(payload["names"]), list(payload["states"])
             packed = _unpack_array(payload["column"], limit=COLUMN_WIRE_LIMIT)
-            indices = np.frombuffer(packed, dtype=packed.typecode)
-            columns.append(np.asarray(lookup, dtype=self._table(gi).table.dtype)[indices])
-        return columns
-
-    def _restore_lookups(
-        self, groups: Sequence[Dict], initials: Dict[str, int], resets: set
-    ) -> Optional[List[List[int]]]:
-        """Per group, the dense index of each occupied state a snapshot lists.
-
-        ``None`` when the snapshot grouped its specs differently.  Reset
-        specs' components are replaced by their initial states before the
-        states are materialized (``ensure_state``).
-        """
-        if len(groups) != len(self.groups):
-            return None
-        for payload, group in zip(groups, self.groups):
-            if tuple(payload["names"]) != group.names:
-                return None
-        lookups: List[List[int]] = []
-        for payload, group in zip(groups, self.groups):
-            states = payload["states"]
-            if resets.intersection(group.names):
-                states = [
-                    tuple(
-                        initials[name] if name in resets else component
-                        for name, component in zip(group.names, signature)
-                    )
-                    for signature in states
-                ]
-            lookups.append([group.ensure_state(tuple(signature)) for signature in states])
-        return lookups
+            column = np.frombuffer(packed, dtype=packed.typecode)
+            length = len(sources[0][2]) if sources else min(len(column), n_objects)
+            fault = _payload_fault(self, unnamed, names, states, column, resets, length)
+            if fault is not None:
+                raise SnapshotError(f"corrupt stream snapshot: group payload {gi} {fault}")
+            sources.append((names, states, column))
+        missing = list(+unnamed)
+        if missing:
+            raise SnapshotError(f"corrupt stream snapshot: no group payload names {missing[0]!r}")
+        return self.carry_columns(sources, resets)
 
     # ------------------------------------------------------------------ #
     # Whole histories: batch checking and screening
@@ -1028,11 +962,11 @@ class VectorKernel:
         ``None`` when the history stays salvageable, ``-1`` when the spec
         is doomed at its root (an empty language).  Doom is absorbing, so
         the index is the number of rounds that left the spec non-doomed.
-        Moves no kernel counter.
+        Kernel counters move as for a check of the same histories.
         """
         fatal: Dict[str, List[Optional[int]]] = {name: [] for name in self.names}
         lengths = np.diff(np.asarray(offsets, dtype=np.int64))
-        for group, tab, _final, lived in self._run_histories(codes, offsets, None, True):
+        for group, tab, _final, lived in self._run_histories(codes, offsets, self.obs, True):
             indices = lived.T.astype(object)
             indices[lived.T >= lengths] = None
             indices[tab.live[group.root] == 0] = -1
@@ -1049,7 +983,7 @@ class VectorKernel:
         histories longer than ``r`` with one flat gather.  With
         ``count_live`` each round adds the new states' live-flag rows into
         a ``(histories, specs)`` count in that dtype; otherwise it is
-        ``None``.  ``obs`` counts a check's histories and gather rounds.
+        ``None``.  ``obs`` counts the histories and gather rounds.
         """
         codes = np.asarray(codes, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -1100,6 +1034,29 @@ def _all_on_sink(column, ids, sink: int) -> bool:
     if len(ids) < len(column) and not (column[ids] == sink).all():
         return False
     return bool((column == sink).all())
+
+
+def _payload_fault(kernel, unnamed: Counter, names, states, column, resets, length: int):
+    """The first restore rule a snapshot group payload breaks (``None`` when
+    it keeps them all); counts the payload's spec names off ``unnamed``."""
+    for name in names:
+        if not unnamed[name]:
+            return f"names spec {name!r}, which the stream does not check or another payload names"
+        unnamed[name] -= 1
+    if any(len(state) != len(names) for state in states):
+        return f"lists a state that is not {len(names)} components wide"
+    for name, components in zip(names, zip(*states)):
+        group_index, k = kernel.locate[name]
+        bound = len(kernel.groups[group_index].specs[k].accepting)
+        if name not in resets and not 0 <= min(components) <= max(components) < bound:
+            return f"lists a {name!r} component outside the {bound} states of its table"
+    if column.dtype.kind not in "iu" or (
+        column.size and not 0 <= column.min() <= column.max() < len(states)
+    ):
+        return f"has a column entry that is not an index in [0, {len(states)})"
+    if len(column) != length:
+        return f"has {len(column)} column entries, not {length}: columns match and fit the interner"
+    return None
 
 
 def _batch_plan(batch: EncodedBatch, ids, max_id: int) -> List[Tuple]:

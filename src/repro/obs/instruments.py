@@ -28,6 +28,7 @@ class EngineInstruments:
         "events_total",
         "batches_total",
         "check_batches_total",
+        "screen_batches_total",
         "verdicts_pass",
         "verdicts_fail",
         "violations_total",
@@ -64,6 +65,9 @@ class EngineInstruments:
         )
         self.check_batches_total = counter(
             "repro_engine_check_batches_total", "check_batch/check_batch_all invocations"
+        )
+        self.screen_batches_total = counter(
+            "repro_engine_screen_batches_total", "screen_histories invocations"
         )
         self.verdicts_pass = counter(
             "repro_engine_verdicts_total", "Batch verdicts produced", verdict="pass"

@@ -410,7 +410,9 @@ def test_stats_top_level_keys_are_a_frozen_schema():
     """Dashboards key on these names: adding or dropping one is a contract
     change.  Instrumented engines add exactly ``metrics``; both cache
     sections have one key set, and one ``check_batch_all`` moves the batch
-    counters by exactly its histories, rounds and verdicts."""
+    counters by exactly its histories, rounds and verdicts.  A
+    ``screen_histories`` of the same histories moves the kernel counters by
+    as much and counts itself apart, leaving the check series alone."""
     assert set(HistoryCheckerEngine(obs=False).stats()) == STATS_KEYS
     instrumented = HistoryCheckerEngine(obs=MetricsRegistry("stats")).stats()
     assert set(instrumented) == STATS_KEYS | {"metrics"}
@@ -428,9 +430,12 @@ def test_stats_top_level_keys_are_a_frozen_schema():
         assert (check, checked) == (1, len(histories))
         assert rounds == max(map(len, histories)) * groups
         assert passes + fails == len(histories) * len(suite)
+        assert metrics["repro_engine_screen_batches_total"] == 0
         engine.screen_histories(histories)
         after = engine.stats()["metrics"]
-        assert [after[key] for key in BATCH_COUNTERS] == [metrics[key] for key in BATCH_COUNTERS]
+        moved = [check, 2 * checked, 2 * rounds, passes, fails]
+        assert [after[key] for key in BATCH_COUNTERS] == moved
+        assert after["repro_engine_screen_batches_total"] == 1
 
 
 # --------------------------------------------------------------------------- #

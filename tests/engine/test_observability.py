@@ -195,11 +195,14 @@ class TestSpans:
         encoded_set = engine.encode_histories(histories)
         engine.check_batch_all(histories)
         engine.check_batch_all(encoded_set)
-        raw, encoded = obs.recent_spans()
+        engine.screen_histories(histories)
+        raw, encoded, screen = obs.recent_spans()
         assert [child.name for child in raw.children] == ["encode.histories", "kernel.check"]
         # A pre-encoded set skips the encode stage.
         assert [child.name for child in encoded.children] == ["kernel.check"]
         assert encoded.children[0].meta is None  # one kernel, no kind to label
+        assert screen.name == "engine.screen_histories"
+        assert [child.name for child in screen.children] == ["encode.histories", "kernel.screen"]
 
 
 class TestCli:

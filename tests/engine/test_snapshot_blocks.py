@@ -14,7 +14,10 @@ The contract under test:
   recording sessions;
 * bodies in the older ``("objects", every id)`` form still restore;
 * a block that decodes to anything but a list, or names a class outside
-  builtins and ``repro``, is corruption (:class:`SnapshotError`).
+  builtins and ``repro``, is corruption (:class:`SnapshotError`);
+* so is a kernel group payload that leaves a spec out or names it twice,
+  lists a state of the wrong width or with a component outside its spec's
+  table, or carries a column entry outside its states or past the interner.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from __future__ import annotations
 import decimal
 import pickle
 import zlib
+from array import array
 
 import pytest
 
 from repro.engine import HistoryCheckerEngine, SnapshotError
 from repro.engine import snapshot as snapshot_wire
-from repro.engine.batch import SNAPSHOT_BLOCK
-from repro.workloads import banking
+from repro.engine.batch import SNAPSHOT_BLOCK, _unpack_column
+from repro.workloads import banking, generators
 
 OPEN = banking.ROLE_INTEREST
 CLOSE = banking.EMPTY_ROLE_SET
@@ -235,3 +239,60 @@ def test_corrupt_blocks_raise_snapshot_error(edit):
     stream.feed_events(_events(["acct-0", "acct-1"]))
     with pytest.raises(SnapshotError):
         engine.restore_stream(_reframed(stream.snapshot(), edit))
+
+
+# --------------------------------------------------------------------------- #
+# Corrupt group payloads
+# --------------------------------------------------------------------------- #
+#: Per edit of a six-spec, one-group session's payload, the rule it breaks.
+_PAYLOAD_RULES = {
+    "no-groups": "no group payload names",
+    "spec-dropped": "no group payload names",
+    "spec-twice": "group payload 1 names spec",
+    "negative-component": "group payload 0 lists a .* component outside",
+    "extra-component": "group payload 0 lists a state that is not 6 components wide",
+    "negative-index": r"group payload 0 has a column entry that is not an index in \[0, ",
+    "column-past-interner": "group payload 0 has 53 column entries, not 50",
+}
+
+
+def _payload_edit(kind):
+    """An edit of the first kernel group payload (column edits rewrite it
+    as an uncompressed ``q`` column)."""
+
+    def edit(body):
+        groups = body["groups"]
+        group = groups[0]
+        names, states = group["names"], group["states"]
+        if kind == "no-groups":
+            groups.clear()
+        elif kind == "spec-dropped":
+            group.update(names=names[1:], states=[state[1:] for state in states])
+        elif kind == "spec-twice":
+            groups.append(dict(group, names=names[:1], states=[state[:1] for state in states]))
+        elif kind == "negative-component":
+            states[0] = (-1, *states[0][1:])
+        elif kind == "extra-component":
+            states[0] = (*states[0], 0)
+        else:
+            values = _unpack_column(group["column"])
+            if kind == "negative-index":
+                values[0] = -1
+            else:  # three entries past the interner
+                values += values[-3:]
+            group["column"] = ("q", 0, array("q", values).tobytes())
+
+    return edit
+
+
+@pytest.mark.parametrize("kind", list(_PAYLOAD_RULES))
+def test_corrupt_group_payloads_raise_snapshot_error(kind):
+    _histories, events, suite = generators.conforming_banking_stream(seed=7, objects=50)
+    engine = HistoryCheckerEngine()
+    for name, spec in suite.items():
+        engine.add_spec(name, spec)
+    stream = engine.open_stream()
+    stream.feed_events(events)
+    assert len(_body(stream.snapshot())["groups"]) == 1
+    with pytest.raises(SnapshotError, match=_PAYLOAD_RULES[kind]):
+        engine.restore_stream(_reframed(stream.snapshot(), _payload_edit(kind)))
