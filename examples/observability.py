@@ -85,8 +85,8 @@ def main() -> None:
     print("\n-- engine.stats() on an uninstrumented engine " + "-" * 19)
     print(
         f"specs={stats['specs']} alphabet={stats['alphabet_size']} "
-        f"spec_cache={stats['spec_cache']['hits']} hits / "
-        f"{stats['spec_cache']['misses']} misses; observability={stats['observability']}"
+        f"kernel_cache={stats['kernel_cache']['hits']} hits / "
+        f"{stats['kernel_cache']['misses']} misses; observability={stats['observability']}"
     )
 
 

@@ -14,8 +14,8 @@ pipeline is compile → encode → fuse → check/stream, all in-process:
 * :mod:`repro.engine.vector` -- the kernel: every spec fused into product
   automata, advanced by numpy gathers over flat narrow-dtype transition
   tables (chunked first-occurrence peeling); numpy is a hard requirement;
-* :mod:`repro.engine.cache` -- bounded LRU over compiled specs and
-  kernels, safe to evict mid-stream because compilation is deterministic;
+* :mod:`repro.engine.cache` -- the bounded LRU over fused kernels (each
+  spec's compiled table lives on the engine, once per registration);
 * :mod:`repro.engine.cursors` -- per-object integer cursors advanced event
   by event (the reference path the kernel is pinned against);
 * :mod:`repro.engine.diagnostics` -- violation reports: fatal event,

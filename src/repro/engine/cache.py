@@ -1,25 +1,16 @@
-"""LRU cache for compiled engine artifacts.
+"""The bounded LRU cache that holds the engine's fused kernels.
 
-Compiling a spec (intern + determinize + minimize + table flattening) is
-the expensive part of the engine; checking events against it is cheap.  The
-engine therefore keeps compiled tables in a bounded least-recently-used
-cache keyed by ``(spec name, generation)`` -- and a second, smaller
-instance holds fused product kernels keyed by spec generations and the
-shared-alphabet version (:mod:`repro.engine.batch`).  Because compilation
-and kernel construction are deterministic (:mod:`repro.engine.compiler`),
-an entry may be evicted at any point -- mid-stream included -- and
-transparently rebuilt on next use without invalidating the integer cursor
-states or product rows minted against the evicted artifact.
+A kernel (:class:`repro.engine.vector.VectorKernel`) fuses a selection of
+compiled specs into product automata over the shared alphabet's current
+size, so the engine keys its kernels by the spec names, their generations
+and that size (:meth:`repro.engine.engine.HistoryCheckerEngine._kernel_for`).
+The alphabet only grows, and every growth keys a fresh kernel, so the
+cache is bounded: the least recently used kernel is evicted.  A stream
+holds its own kernel, so an eviction never touches a live session.
 
 The cache is **thread-safe**: every structural operation and every stat
-update happens under one lock, so concurrent streams sharing an engine can
-race ``get_or_compile`` against eviction without corrupting the LRU order
-or the counters (the pre-observability implementation bumped its counters
-outside any lock, so two racing threads could lose increments -- invisible
-until the counters became part of the exposition surface).  The factory
-itself runs *outside* the lock: compilation is deterministic, so the worst
-case of a racing double-compile is briefly redundant work, never a wrong
-artifact.
+update happens under one lock, so concurrent streams sharing an engine
+cannot corrupt the LRU order or lose counter increments.
 
 When observability is on (:mod:`repro.obs`), the engine binds counters via
 :meth:`SpecCache.bind_metrics`; the cache then mirrors every hit, miss and
@@ -31,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional
 
 
 class SpecCache:
@@ -41,7 +32,7 @@ class SpecCache:
 
     def __init__(self, maxsize: int = 64) -> None:
         if maxsize < 1:
-            raise ValueError("the spec cache needs room for at least one entry")
+            raise ValueError("the cache needs room for at least one entry")
         self._maxsize = maxsize
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
@@ -89,19 +80,6 @@ class SpecCache:
                 metrics[0].inc()
             return spec
 
-    def get_or_compile(self, key: Hashable, factory: Callable[[], Any]) -> Any:
-        """The cached artifact for ``key``, compiling and inserting it on a miss.
-
-        The factory runs outside the lock; a concurrent miss on the same key
-        may compile twice, but compilation is deterministic so either result
-        is correct and the last insert wins.
-        """
-        spec = self.get(key)
-        if spec is None:
-            spec = factory()
-            self.put(key, spec)
-        return spec
-
     def put(self, key: Hashable, spec: Any) -> None:
         """Insert (or refresh) an entry, evicting the least recently used."""
         with self._lock:
@@ -117,16 +95,6 @@ class SpecCache:
                 if metrics is not None:
                     metrics[2].inc(evicted)
 
-    def invalidate(self, key: Hashable) -> None:
-        """Drop one entry (used when a spec source is re-registered)."""
-        with self._lock:
-            self._entries.pop(key, None)
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
     def stats(self) -> Dict[str, int]:
         """Hit/miss/eviction counters plus the current size, read atomically."""
         with self._lock:
@@ -137,14 +105,6 @@ class SpecCache:
                 "size": len(self._entries),
                 "maxsize": self._maxsize,
             }
-
-    def __contains__(self, key: object) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 __all__ = ["SpecCache"]

@@ -13,9 +13,10 @@ Compilation is **deterministic**: interning follows the canonical alphabet
 order, subset construction and Hopcroft minimization are order-stable, and
 states are renumbered densely by a BFS from the start state in symbol-code
 order.  Recompiling the same source automaton therefore reproduces the
-identical table, so cursor states (small ints) stay valid across an LRU
-eviction and recompilation of their spec (tested in
-``tests/engine/test_engine.py``).
+identical table, in this process or another one, so a table's fingerprint
+(:meth:`CompiledSpec.fingerprint`) identifies it across processes: a
+snapshot restore keeps a spec's states exactly when the fingerprints agree
+(tested in ``tests/engine/test_engine.py``).
 """
 
 from __future__ import annotations

@@ -4,12 +4,12 @@ A cursor is nothing more than a small integer -- the current state of one
 object's history inside a :class:`repro.engine.compiler.CompiledSpec` table.
 :class:`HistoryCursor` wraps a single object for interactive use;
 :class:`CursorTable` holds the states of a whole population of objects
-against one spec and is what the streaming engine advances event by event.
+against one spec, advanced event by event -- the reference path the
+product kernel (:mod:`repro.engine.vector`) is pinned against.
 
 Cursor states deliberately do **not** hold a reference to the compiled
-table: the engine re-resolves the spec through its LRU cache on every
-batch, so an eviction (and deterministic recompilation) between two events
-of the same object is invisible to the cursor.
+table: compilation is deterministic (:mod:`repro.engine.compiler`), so a
+state means the same thing against any compilation of the same source.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@
 checks large batches of object histories -- and unbounded event streams --
 against named migration specifications.  Specs are registered once as
 automata, inventories, compiled MCL constraints or MCL source text
-(:mod:`repro.spec`), compiled on demand into table runners
-(:mod:`repro.engine.compiler`) behind an LRU cache
-(:mod:`repro.engine.cache`).
+(:mod:`repro.spec`) and compiled into table runners
+(:mod:`repro.engine.compiler`) on first use, once per registration.
 
 Since the columnar pipeline (:mod:`repro.engine.batch`) the engine's native
 interchange format is *encoded columns*: every event batch and history set
@@ -129,8 +128,6 @@ class HistoryCheckerEngine:
 
     Parameters
     ----------
-    cache_size:
-        Capacity of the compiled-spec LRU cache.
     product_cap:
         Product states per kernel group before specs spill into a new group
         (:data:`repro.engine.vector.PRODUCT_STATE_CAP`).
@@ -145,13 +142,7 @@ class HistoryCheckerEngine:
         engine's hot paths pay a single ``is not None`` check.
     """
 
-    def __init__(
-        self,
-        cache_size: int = 64,
-        product_cap: int = PRODUCT_STATE_CAP,
-        obs=None,
-    ) -> None:
-        self._cache = SpecCache(cache_size)
+    def __init__(self, product_cap: int = PRODUCT_STATE_CAP, obs=None) -> None:
         self._product_cap = product_cap
         self._sources: Dict[str, NFA] = {}
         self._generations: Dict[str, int] = {}
@@ -161,22 +152,23 @@ class HistoryCheckerEngine:
         #: The engine-level shared alphabet every batch is encoded against;
         #: append-only, so spec remap arrays and kernels only ever *extend*.
         self._alphabet = RoleSetAlphabet()
+        #: Compiled tables of the registered generations, keyed
+        #: ``(name, generation)``, clause tables ``(name, generation,
+        #: "clause", index)``; each compiles on first use.
+        self._tables: Dict[Tuple, CompiledSpec] = {}
+        #: Kernels by spec names, their generations and the alphabet size --
+        #: bounded, because every alphabet growth keys a new one.
         self._kernels = SpecCache(16)
         self._obs = _resolve_obs(obs, _obs_enabled(), _obs_default_registry())
         if self._obs is not None:
             self._bind_obs()
 
     def _bind_obs(self) -> None:
-        """Wire the resolved instruments into the caches."""
+        """Wire the resolved instruments into the kernel cache."""
         instruments = self._obs
         instruments.registry.gauge(
             "repro_engine_specs", "Registered specifications"
         ).set_callback(lambda: len(self._sources))
-        self._cache.bind_metrics(
-            instruments.spec_cache_hits,
-            instruments.spec_cache_misses,
-            instruments.spec_cache_evictions,
-        )
         self._kernels.bind_metrics(*instruments.cache_counters("kernel"))
 
     # ------------------------------------------------------------------ #
@@ -199,11 +191,13 @@ class HistoryCheckerEngine:
         defines exactly one).
 
         Re-registering an existing name bumps the spec's *generation*: the
-        stale compiled table is evicted from the cache (the cache key is
-        ``(name, generation)``, so a stale entry can never be served even
-        across races), and open streams reset their cursors for that spec
-        on the next touch -- integer cursor states minted against the old
-        table are never interpreted against the new one.
+        outgoing generation's compiled tables (clause tables included) are
+        dropped -- their keys embed the generation, so none could be served
+        again -- and open streams reset their cursors for that spec on the
+        next touch: integer cursor states minted against the old table are
+        never interpreted against the new one.  The new table compiles on
+        first use, not here, because compiling interns the spec's symbols
+        into the shared alphabet.
         """
         if isinstance(spec, str):
             provenance = self._compile_mcl_source(name, spec, schema)
@@ -214,14 +208,9 @@ class HistoryCheckerEngine:
             # that explain() threads into violation reports.
             provenance = spec if getattr(spec, "clauses", None) else None
         generation = self._generations.get(name, 0) + 1
-        self._cache.invalidate((name, generation - 1))
-        previous = self._provenance.get(name)
-        if previous is not None:
-            # Clause tables of the outgoing generation can never be served
-            # again (their keys embed it); drop them so dead entries do not
-            # squat in the LRU evicting live specs.
-            for clause in previous.clauses:
-                self._cache.invalidate((name, generation - 1, "clause", clause.index))
+        stale = (name, generation - 1)
+        # Walk a copy: a compile in another thread may insert meanwhile.
+        self._tables = {k: t for k, t in list(self._tables.items()) if k[:2] != stale}
         self._sources[name] = automaton
         self._generations[name] = generation
         if provenance is not None:
@@ -260,22 +249,23 @@ class HistoryCheckerEngine:
         return self._alphabet
 
     def compiled(self, name: str) -> CompiledSpec:
-        """The table-compiled form of one spec (cached, recompiled on eviction).
+        """The table-compiled form of one spec, compiled on first use of its
+        generation and kept until the next re-registration.
 
         The spec's remap array is kept extended to the shared alphabet's
-        current version, so a cached table can always run encoded columns.
+        current version, so the table can always run encoded columns.
         """
-        source = self._sources.get(name)
-        if source is None:
-            raise KeyError(f"unknown specification {name!r}; registered: {sorted(self._sources)}")
-        key = (name, self._generations[name])
-        spec = self._cache.get_or_compile(key, lambda: compile_spec(source, self._alphabet))
+        key = (name, self._generations.get(name))
+        spec = self._tables.get(key)
+        if spec is None:
+            source = self._sources.get(name)
+            if source is None:
+                raise KeyError(
+                    f"unknown specification {name!r}; registered: {sorted(self._sources)}"
+                )
+            spec = self._tables[key] = compile_spec(source, self._alphabet)
         spec.ensure_remap(self._alphabet)
         return spec
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction counters of the spec-compilation cache."""
-        return self._cache.stats()
 
     def provenance(self, name: str) -> Optional[object]:
         """The MCL constraint ``name`` was registered from, when it was."""
@@ -382,9 +372,9 @@ class HistoryCheckerEngine:
     def _clause_tables(self, name: str):
         """``(clause, compiled table)`` pairs for a spec's MCL conjuncts.
 
-        Clause tables ride the same LRU cache as the specs themselves, keyed
-        by ``(name, generation, "clause", index)`` -- evictable, rebuilt
-        deterministically, never stale across re-registration.
+        Clause tables sit beside the spec's own table, keyed by ``(name,
+        generation, "clause", index)``: compiled on first use, dropped with
+        their generation on re-registration.
         """
         constraint = self._provenance.get(name)
         if constraint is None:
@@ -393,7 +383,9 @@ class HistoryCheckerEngine:
         pairs = []
         for clause in constraint.clauses:
             key = (name, generation, "clause", clause.index)
-            table = self._cache.get_or_compile(key, lambda c=clause: compile_spec(c.automaton))
+            table = self._tables.get(key)
+            if table is None:
+                table = self._tables[key] = compile_spec(clause.automaton)
             pairs.append((clause, table))
         return tuple(pairs)
 
@@ -444,21 +436,23 @@ class HistoryCheckerEngine:
         """Encode whole histories once; reusable across every registered spec."""
         return ColumnarHistorySet.from_histories(histories, self._alphabet)
 
-    def _kernel_for(self, names: Sequence[str]) -> VectorKernel:
-        """The multi-spec kernel over ``names`` (cached by generations and
-        alphabet)."""
-        specs = [(name, self.compiled(name)) for name in names]
-        key = (
-            tuple((name, self._generations[name]) for name in names),
-            len(self._alphabet),
-            self._product_cap,
-        )
-        kernel = self._kernels.get(key)
+    def _kernel_for(self, names: Tuple[str, ...]) -> VectorKernel:
+        """The multi-spec kernel over ``names``, cached by the names, their
+        generations and the alphabet size.
+
+        The key compiles nothing.  A miss resolves the tables -- an unknown
+        name raises there, and a first compile may grow the alphabet -- and
+        files the kernel under the alphabet size it was built for.
+        """
+        generations = tuple(map(self._generations.get, names))
+        kernel = self._kernels.get((names, generations, len(self._alphabet)))
         if kernel is None:
-            kernel = VectorKernel(specs, len(self._alphabet), self._product_cap)
+            specs = [(name, self.compiled(name)) for name in names]
+            width = len(self._alphabet)
+            kernel = VectorKernel(specs, width, self._product_cap)
             if self._obs is not None:
                 kernel.obs = self._obs.kernel
-            self._kernels.put(key, kernel)
+            self._kernels.put((names, generations, width), kernel)
         return kernel
 
     def _history_set(self, histories) -> ColumnarHistorySet:
@@ -673,17 +667,16 @@ class HistoryCheckerEngine:
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """One introspection dict: registry sizes and cache counters.
+        """One introspection dict: registry sizes and kernel-cache counters.
 
-        Always available -- the cache counters live on the caches themselves
-        -- and, when this engine is instrumented, ``"metrics"`` additionally
+        Always available -- the counters live on the kernel cache itself --
+        and, when this engine is instrumented, ``"metrics"`` additionally
         carries every metric value of the engine's registry
         (:meth:`repro.obs.metrics.MetricsRegistry.to_dict`).
         """
         data: Dict[str, object] = {
             "specs": len(self._sources),
             "alphabet_size": len(self._alphabet),
-            "spec_cache": self._cache.stats(),
             "kernel_cache": self._kernels.stats(),
             "observability": self._obs is not None,
         }
@@ -713,14 +706,13 @@ class StreamChecker:
     (:meth:`objects`, :meth:`verdicts`, :meth:`all_verdicts`), snapshots and
     journal recovery report exactly those, int ids in ascending order.
 
-    Specs are re-resolved through the engine's LRU cache on every batch, so
-    compiled tables may be evicted and deterministically recompiled
-    mid-stream without disturbing the session.  Re-registering a spec
-    (``add_spec`` under an existing name) bumps its generation; on the next
-    touch the session rebuilds its kernel, restarts that spec's histories
-    from the new automaton's initial state, and keeps every other spec's
-    progress -- stale states are never interpreted against a different
-    table.
+    Each touch compares the session's spec generations and the engine's
+    alphabet size with those its kernel was built for, and resolves a new
+    kernel only when one differs.  Re-registering a spec (``add_spec`` under
+    an existing name) bumps its generation; on the next touch the session
+    rebuilds its kernel, restarts that spec's histories from the new
+    automaton's initial state, and keeps every other spec's progress --
+    stale states are never interpreted against a different table.
     """
 
     __slots__ = (
@@ -730,6 +722,7 @@ class StreamChecker:
         "_interner",
         "_columns",
         "_kernel",
+        "_built_for",
         "_seen",
         "_present",
         "_traces",
@@ -749,10 +742,13 @@ class StreamChecker:
     ) -> None:
         self._engine = engine
         self._names = names
-        self._generations: Dict[str, int] = {name: engine.generation(name) for name in names}
+        #: Per spec, the generation the session's states were minted against.
+        self._generations = tuple(map(engine._generations.get, names))
         self._interner = ObjectInterner()
         self._columns: List = []
         self._kernel: Optional[VectorKernel] = None
+        #: ``(generations, alphabet size)`` the kernel was resolved for.
+        self._built_for: Optional[Tuple] = None
         #: Per spec, the dense ids seen since that spec's last reset --
         #: ``None`` meaning "every present object" (the common case, kept
         #: implicit so the hot path never builds per-batch id sets).
@@ -791,41 +787,46 @@ class StreamChecker:
     def _resolve_kernel(self) -> VectorKernel:
         """The current kernel, carrying states across rebuilds.
 
-        Every call resolves each spec through the engine's compile cache
-        (evictions and recompilations stay visible in ``cache_stats``).  A
-        changed generation resets that spec's histories and seen set; a
-        changed kernel (re-registration, alphabet growth, cache churn)
-        carries every other spec's per-object states over, with the previous
-        kernel's groups as :meth:`~repro.engine.vector.VectorKernel.
-        carry_columns` sources: one ``ensure_state`` per distinct state.
+        One compare settles a touch: while neither a spec generation nor
+        the engine's alphabet size has moved since the kernel was resolved,
+        the kernel stands and the engine is not asked.  Otherwise a changed
+        generation resets that spec's histories and seen set, and a changed
+        kernel (re-registration, alphabet growth) carries every other
+        spec's per-object states over, with the previous kernel's groups as
+        :meth:`~repro.engine.vector.VectorKernel.carry_columns` sources: one
+        ``ensure_state`` per distinct state.
         """
         engine = self._engine
-        reset = []
-        for name in self._names:
-            generation = engine.generation(name)
-            if generation != self._generations[name]:
-                self._generations[name] = generation
-                reset.append(name)
-        if reset and self._kernel is not None:
-            # Delta extraction *before* the carry discards the old states:
-            # only objects that had moved off the reset spec's initial state
-            # carried progress worth re-validating.
-            self.last_revalidation = self._revalidation_report(reset)
-        kernel = engine._kernel_for(self._names)
-        if kernel is not self._kernel:
-            if self._kernel is None:
-                self._columns = kernel.new_columns(len(self._interner))
-            else:
-                sources = [
-                    (group.names, group.decode, column)
-                    for group, column in zip(self._kernel.groups, self._columns)
-                ]
-                self._columns = kernel.carry_columns(sources, reset)
-            self._kernel = kernel
-        for name in reset:
-            self._seen[name] = {}
-            if self._traces is not None:
-                self._trace_marks[name] = {o: len(trace) for o, trace in self._traces.items()}
+        generations = tuple(map(engine._generations.get, self._names))
+        if (generations, len(engine._alphabet)) != self._built_for:
+            reset = [
+                name
+                for name, old, new in zip(self._names, self._generations, generations)
+                if old != new
+            ]
+            self._generations = generations
+            if reset and self._kernel is not None:
+                # Delta extraction *before* the carry discards the old
+                # states: only objects that had moved off the reset spec's
+                # initial state carried progress worth re-validating.
+                self.last_revalidation = self._revalidation_report(reset)
+            kernel = engine._kernel_for(self._names)
+            if kernel is not self._kernel:
+                if self._kernel is None:
+                    self._columns = kernel.new_columns(len(self._interner))
+                else:
+                    sources = [
+                        (group.names, group.decode, column)
+                        for group, column in zip(self._kernel.groups, self._columns)
+                    ]
+                    self._columns = kernel.carry_columns(sources, reset)
+                self._kernel = kernel
+            for name in reset:
+                self._seen[name] = {}
+                if self._traces is not None:
+                    self._trace_marks[name] = {o: len(t) for o, t in self._traces.items()}
+            self._built_for = (generations, kernel.width)
+        kernel = self._kernel
         kernel.grow_columns(self._columns, len(self._interner))
         return kernel
 
@@ -1137,8 +1138,7 @@ class StreamChecker:
         Unknown objects are judged from the initial state; symbols the
         engine has never encoded are never admissible.
         """
-        if name is not None and name not in self._names:
-            raise KeyError(f"spec {name!r} is not checked by this stream; have {self._names}")
+        self._check_spec(name)
         kernel = self._resolve_kernel()
         code = self._engine.alphabet.encode(symbol)
         dense = self._interner.code_of(object_id)
@@ -1148,19 +1148,25 @@ class StreamChecker:
         """Whether one object can no longer satisfy one spec (no continuation
         of its history is accepted) -- the state the ``enforce=True`` gate
         refuses to enter."""
-        if name not in self._names:
-            raise KeyError(f"spec {name!r} is not checked by this stream; have {self._names}")
+        self._check_spec(name)
         kernel = self._resolve_kernel()
         group_index, j = kernel.locate[name]
         dense = self._interner.code_of(object_id)
         state = kernel.state_of(self._columns, group_index, dense)
         return bool(kernel.groups[group_index].spec_doomed[j][state])
 
-    def _seen_codes(self, name: str) -> Iterable[int]:
-        """The dense ids tracked for one spec: the present ones, ascending,
-        unless the spec was reset (then those seen since, in first-seen
-        order).  A ``range`` when every interned slot is present."""
-        seen = self._seen[name]
+    def _check_spec(self, name: Optional[str]) -> None:
+        """Refuse, with one ``KeyError``, a spec this session does not check
+        (``None``, meaning every spec, passes)."""
+        if name is not None and name not in self._names:
+            raise KeyError(f"spec {name!r} is not checked by this stream; have {self._names}")
+
+    def _seen_codes(self, name: Optional[str]) -> Iterable[int]:
+        """The dense ids tracked for one spec (for none: every present one):
+        the present ones, ascending, unless the spec was reset (then those
+        seen since, in first-seen order).  A ``range`` when every interned
+        slot is present."""
+        seen = self._seen.get(name)
         if seen is not None:
             return seen
         present = self._present
@@ -1169,16 +1175,19 @@ class StreamChecker:
         return list(compress(range(len(present)), present))
 
     def objects(self, name: Optional[str] = None) -> Tuple[ObjectId, ...]:
-        """The objects fed so far (for one spec, or the first).
+        """The objects fed so far (for one spec, or the first, or -- on a
+        session without specs -- all).
 
         Only objects some admitted event carried are listed; int ids come in
         ascending order, other ids in order of first sight.
         """
-        selected = name if name is not None else self._names[0]
-        return tuple(map(self._interner.object, self._seen_codes(selected)))
+        self._check_spec(name)
+        selected = name if name is not None else next(iter(self._names), None)
+        return tuple(self._interner.objects(list(self._seen_codes(selected))))
 
     def verdict(self, name: str, object_id: ObjectId) -> bool:
         """Whether one object's history so far satisfies one spec."""
+        self._check_spec(name)
         kernel = self._resolve_kernel()
         group_index, j = kernel.locate[name]
         dense = self._interner.code_of(object_id)
@@ -1187,10 +1196,13 @@ class StreamChecker:
 
     def verdicts(self, name: str) -> Dict[ObjectId, bool]:
         """Per-object verdicts for one spec."""
+        self._check_spec(name)
         kernel = self._resolve_kernel()
         dense = kernel.verdicts_of(name, self._columns, self._seen_codes(name))
-        decode = self._interner.object
-        return {decode(code): verdict for code, verdict in dense.items()}
+        codes = list(dense)
+        ids = self._interner.objects(codes)
+        # Identity codes are their own ids: the dense dict is the answer.
+        return dense if ids is codes else dict(zip(ids, dense.values()))
 
     def all_verdicts(self) -> Dict[str, Dict[ObjectId, bool]]:
         """Per-object verdicts for every spec of the session."""
@@ -1245,8 +1257,7 @@ class StreamChecker:
         since the reset are judged, keeping ``explain`` consistent with
         :meth:`verdict`.
         """
-        if name not in self._names:
-            raise KeyError(f"spec {name!r} is not checked by this stream; have {self._names}")
+        self._check_spec(name)
         if history is None:
             self._resolve_kernel()  # apply pending resets so marks are current
             history = self._spec_history(name, object_id)

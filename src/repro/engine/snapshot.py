@@ -334,7 +334,6 @@ def _rebuild(engine, body: Dict, names: Tuple[str, ...]):
         stream._columns = kernel.restore_columns(body["groups"], resets, n_objects)
         kernel.grow_columns(stream._columns, n_objects)
         stream._kernel = kernel
-    stream._generations = {name: engine.generation(name) for name in names}
     seen = body["seen"]
     stream._seen = {
         name: {}

@@ -34,10 +34,6 @@ class EngineInstruments:
         "violations_total",
         "enforce_rejections",
         "streams_opened",
-        # cache.py
-        "spec_cache_hits",
-        "spec_cache_misses",
-        "spec_cache_evictions",
         # snapshot.py
         "snapshot_dump_bytes",
         "snapshot_restore_bytes",
@@ -85,15 +81,6 @@ class EngineInstruments:
         self.streams_opened = counter(
             "repro_engine_streams_opened_total", "Streaming sessions opened or restored"
         )
-        self.spec_cache_hits = counter(
-            "repro_engine_cache_hits_total", "Compiled-artifact cache hits", cache="spec"
-        )
-        self.spec_cache_misses = counter(
-            "repro_engine_cache_misses_total", "Compiled-artifact cache misses", cache="spec"
-        )
-        self.spec_cache_evictions = counter(
-            "repro_engine_cache_evictions_total", "Compiled-artifact cache evictions", cache="spec"
-        )
         self.snapshot_dump_bytes = counter(
             "repro_engine_snapshot_bytes_total", "Snapshot blob bytes", direction="dump"
         )
@@ -134,9 +121,15 @@ class EngineInstruments:
         """``(hits, misses, evictions)`` counters for one named LRU cache."""
         counter = self.registry.counter
         return (
-            counter("repro_engine_cache_hits_total", cache=cache),
-            counter("repro_engine_cache_misses_total", cache=cache),
-            counter("repro_engine_cache_evictions_total", cache=cache),
+            counter("repro_engine_cache_hits_total", "Compiled-artifact cache hits", cache=cache),
+            counter(
+                "repro_engine_cache_misses_total", "Compiled-artifact cache misses", cache=cache
+            ),
+            counter(
+                "repro_engine_cache_evictions_total",
+                "Compiled-artifact cache evictions",
+                cache=cache,
+            ),
         )
 
 

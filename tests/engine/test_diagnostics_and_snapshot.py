@@ -319,12 +319,21 @@ def test_restored_reset_specs_keep_explain_consistent():
 
 
 def test_reregistration_invalidates_clause_tables():
-    engine = _mcl_engine(banking)
-    witness = _violating_word(engine.provenance("checking_roles"))
-    assert engine.explain("checking_roles", witness) is not None  # caches clause tables
-    size_before = engine.cache_stats()["size"]
-    engine.add_spec("checking_roles", banking.MCL_SOURCE, schema=banking.schema())
-    assert engine.cache_stats()["size"] < size_before  # stale clause entries dropped
+    """Each re-registration drops the outgoing generation's spec and clause
+    tables; nothing bounds the table dict, so a missed drop would grow it
+    by one generation per round."""
+    name = "no_visa_after_immigrant"
+    engine = _mcl_engine(immigration)
+    witness = _violating_word(engine.provenance(name))
+    for _ in range(50):
+        engine.add_spec(name, immigration.MCL_SOURCE, schema=immigration.schema())
+        assert engine.explain(name, witness) is not None  # compiles the clause tables
+    generation = engine.generation(name)
+    clauses = engine.provenance(name).clauses
+    assert len(clauses) == 2
+    keys = {key for key in engine._tables if key[0] == name}
+    clause_keys = {(name, generation, "clause", clause.index) for clause in clauses}
+    assert keys == {(name, generation)} | clause_keys
 
 
 def test_restore_refuses_pickle_gadgets():

@@ -394,8 +394,42 @@ def test_unlimited_traces_remain_the_default():
 # --------------------------------------------------------------------------- #
 # stats() shape contract
 # --------------------------------------------------------------------------- #
-STATS_KEYS = {"specs", "alphabet_size", "spec_cache", "kernel_cache", "observability"}
+STATS_KEYS = {"specs", "alphabet_size", "kernel_cache", "observability"}
 CACHE_KEYS = {"hits", "misses", "evictions", "size", "maxsize"}
+#: Every series ``stats()["metrics"]`` carries on a fresh private registry.
+METRIC_SERIES = {
+    "repro_engine_batches_total",
+    'repro_engine_cache_evictions_total{cache="kernel"}',
+    'repro_engine_cache_hits_total{cache="kernel"}',
+    'repro_engine_cache_misses_total{cache="kernel"}',
+    "repro_engine_check_batches_total",
+    "repro_engine_enforce_rejections_total",
+    "repro_engine_events_total",
+    "repro_engine_screen_batches_total",
+    'repro_engine_snapshot_bytes_total{direction="dump"}',
+    'repro_engine_snapshot_bytes_total{direction="restore"}',
+    "repro_engine_snapshot_state_translations_total",
+    "repro_engine_specs",
+    "repro_engine_streams_opened_total",
+    'repro_engine_verdicts_total{verdict="fail"}',
+    'repro_engine_verdicts_total{verdict="pass"}',
+    "repro_engine_violations_total",
+    'repro_journal_bytes_total{direction="append"}',
+    'repro_journal_bytes_total{direction="replay"}',
+    "repro_journal_checkpoints_total",
+    'repro_journal_records_total{direction="append"}',
+    'repro_journal_records_total{direction="replay"}',
+    "repro_journal_truncated_records_total",
+    "repro_kernel_batches_total",
+    "repro_kernel_events_total",
+    "repro_kernel_gather_rounds_total",
+    "repro_kernel_histories_total",
+    "repro_kernel_plan_cache_hits_total",
+    "repro_kernel_plan_cache_misses_total",
+    "repro_kernel_scalar_fallback_events_total",
+    "repro_kernel_sink_skipped_passes_total",
+    "repro_stream_recoveries_total",
+}
 #: The counters one whole-history check moves, and how far.
 BATCH_COUNTERS = (
     "repro_engine_check_batches_total",
@@ -408,15 +442,17 @@ BATCH_COUNTERS = (
 
 def test_stats_top_level_keys_are_a_frozen_schema():
     """Dashboards key on these names: adding or dropping one is a contract
-    change.  Instrumented engines add exactly ``metrics``; both cache
-    sections have one key set, and one ``check_batch_all`` moves the batch
-    counters by exactly its histories, rounds and verdicts.  A
+    change.  Instrumented engines add exactly ``metrics``, whose series set
+    is frozen too; the kernel-cache section has one key set, and one
+    ``check_batch_all`` moves the batch counters by exactly its histories,
+    rounds and verdicts.  A
     ``screen_histories`` of the same histories moves the kernel counters by
     as much and counts itself apart, leaving the check series alone."""
     assert set(HistoryCheckerEngine(obs=False).stats()) == STATS_KEYS
     instrumented = HistoryCheckerEngine(obs=MetricsRegistry("stats")).stats()
     assert set(instrumented) == STATS_KEYS | {"metrics"}
-    assert set(instrumented["spec_cache"]) == set(instrumented["kernel_cache"]) == CACHE_KEYS
+    assert set(instrumented["kernel_cache"]) == CACHE_KEYS
+    assert set(instrumented["metrics"]) == METRIC_SERIES
 
     histories, _events, suite = conforming_banking_stream(seed=5, objects=40, mean_length=8)
     for cap, groups in ((PRODUCT_STATE_CAP, 1), (3, len(suite))):

@@ -10,6 +10,7 @@ Two contracts dominate:
   tree naming its stages.
 """
 
+import itertools
 import random
 
 import pytest
@@ -139,16 +140,24 @@ class TestEngineCounters:
         assert plain["repro_kernel_plan_cache_misses_total"] == 1
         assert plain["repro_kernel_plan_cache_hits_total"] == 1
 
-    def test_spec_cache_counters_are_mirrored(self, checking):
-        engine, registry = instrumented_engine(checking, cache_size=1)
-        engine.add_spec("other", banking.no_downgrade_inventory())
-        engine.check_batch_all(random_banking_words(seed=11, count=10))
+    def test_kernel_cache_counters_are_mirrored(self, checking):
+        engine, registry = instrumented_engine(checking)
+        suite = generators.banking_monitoring_suite()
+        for name, spec in suite.items():
+            engine.add_spec(name, spec)
+        # 21 distinct selections through the 16-entry kernel cache, each
+        # checked twice: misses, hits and evictions all move.
+        selections = [(name,) for name in suite] + list(itertools.combinations(suite, 2))
+        histories = random_banking_words(seed=11, count=10)
+        for selection in selections:
+            engine.check_batch_all(histories, selection)
+            engine.check_batch_all(histories, selection)
         data = registry.to_dict()
-        stats = engine.cache_stats()
-        assert data['repro_engine_cache_hits_total{cache="spec"}'] == stats["hits"]
-        assert data['repro_engine_cache_misses_total{cache="spec"}'] == stats["misses"]
-        assert data['repro_engine_cache_evictions_total{cache="spec"}'] == stats["evictions"]
-        assert stats["evictions"] > 0  # cache_size=1 with two specs must churn
+        stats = engine.stats()["kernel_cache"]
+        assert data['repro_engine_cache_hits_total{cache="kernel"}'] == stats["hits"]
+        assert data['repro_engine_cache_misses_total{cache="kernel"}'] == stats["misses"]
+        assert data['repro_engine_cache_evictions_total{cache="kernel"}'] == stats["evictions"]
+        assert stats["hits"] > 0 and stats["evictions"] > 0
 
     def test_violations_and_snapshot_round_trip_are_counted(self, checking):
         engine, registry = instrumented_engine(checking)

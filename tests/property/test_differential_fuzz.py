@@ -17,8 +17,6 @@ streams (spec walks, uniform noise, alien symbols) and asserts
   (the process-restart simulation, exercising fingerprint validation and
   alphabet re-encoding), and a mid-stream re-registration that translates
   the live state columns of every other spec through the new kernel;
-* LRU eviction pressure mid-stream (single-entry caches on a rotating
-  subset of cases);
 * the ``enforce=True`` admissibility gate against an independent DFA-walk
   oracle with its own backward-reachability doomed set: the gate's
   rejected event indices must equal the oracle's fatal indices exactly, an
@@ -191,11 +189,7 @@ def _check_one_case(case_seed, fresh_restore):
     expected = _oracle(specs, histories)
     tag = f"seed={case_seed}"
 
-    # A single-entry spec cache on every third case keeps eviction-and-
-    # deterministic-recompile in the differential loop, not just in a
-    # dedicated unit test.
-    cache_size = 1 if case_seed % 3 == 0 else 64
-    engine = HistoryCheckerEngine(cache_size=cache_size)
+    engine = HistoryCheckerEngine()
     _register_all(engine, specs)
 
     # Path 1: multi-spec batch.
