@@ -35,6 +35,18 @@ def test_reregistration_evicts_stale_compiled_table():
     assert engine.generation("spec") == 2
 
 
+def test_reregistration_under_same_name_does_not_serve_stale_cache_key():
+    engine = HistoryCheckerEngine()
+    engine.add_spec("spec", banking.checking_role_inventory())
+    first = engine.compiled("spec")
+    engine.add_spec("spec", banking.no_downgrade_inventory())
+    # The old generation's table was dropped; only the new one fills in.
+    second = engine.compiled("spec")
+    assert second is not first
+    assert list(engine._tables) == [("spec", engine.generation("spec"))]
+    assert engine.compiled("spec") is second
+
+
 def test_open_stream_resets_cursors_after_reregistration():
     histories, events = banking_event_stream(seed=11, objects=300, mean_length=6)
     cut = len(events) // 2
