@@ -19,9 +19,16 @@ Usage::
     python -m pytest benchmarks -q --benchmark-only --benchmark-json BENCH_ci.json
     python benchmarks/ci_gate.py compare --current BENCH_ci.json
     python benchmarks/ci_gate.py update --current BENCH_ci.json   # refresh baseline
+    python benchmarks/ci_gate.py update --current BENCH_ci.json --case NAME  # one case
 
 Only cases whose baseline median is at least ``--min-track`` seconds are
 tracked: single-shot micro-benchmarks are too noisy for a 30% gate.
+
+``update --case NAME`` (repeatable) adds or refreshes only the named cases:
+the committed calibration and every other case stay as they are, and each
+named median is rescaled into the committed calibration's units (median x
+committed calibration / calibration measured now), so one case can join the
+baseline without re-baselining all the others.
 """
 
 from __future__ import annotations
@@ -116,6 +123,42 @@ def update_baseline(current: Path, baseline: Path, min_track: float) -> int:
     return 0
 
 
+def update_cases(current: Path, baseline: Path, cases, min_track: float) -> int:
+    """Write ``cases`` into ``baseline``, keeping its calibration and every
+    other case.
+
+    Each named median from ``current`` is rescaled to the committed
+    calibration.  A case missing from ``current``, unstable, or below
+    ``min_track`` once rescaled is refused, and then nothing is written.
+    """
+    with open(baseline) as handle:
+        base = json.load(handle)
+    medians = load_medians(current)
+    refused = [f"{name}: not in {current}" for name in cases if name not in medians]
+    refused += [f"{name}: unstable, never tracked" for name in cases if name in UNSTABLE_CASES]
+    scaled = {}
+    if not refused:
+        scale = base["calibration"] / calibrate()
+        scaled = {name: medians[name] * scale for name in cases}
+        refused = [
+            f"{name}: median {median * 1000:.1f}ms is under the {min_track * 1000:.0f}ms floor"
+            for name, median in scaled.items()
+            if median < min_track
+        ]
+    if refused:
+        print("baseline unchanged; refused:", file=sys.stderr)
+        for reason in refused:
+            print(f"  - {reason}", file=sys.stderr)
+        return 1
+    base["cases"].update(scaled)
+    with open(baseline, "w") as handle:
+        json.dump(base, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    for name, median in sorted(scaled.items()):
+        print(f"baseline: {name} -> {median * 1000:.1f}ms (committed calibration)")
+    return 0
+
+
 def compare(current: Path, baseline: Path, threshold: float) -> int:
     """Exit status 0 when every tracked case is within the threshold.
 
@@ -183,10 +226,18 @@ def main(argv=None) -> int:
     update_cmd.add_argument("--current", type=Path, required=True)
     update_cmd.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
     update_cmd.add_argument("--min-track", type=float, default=DEFAULT_MIN_TRACK)
+    update_cmd.add_argument(
+        "--case",
+        action="append",
+        metavar="NAME",
+        help="add or refresh only this case, keeping the committed calibration (repeatable)",
+    )
 
     args = parser.parse_args(argv)
     if args.command == "compare":
         return compare(args.current, args.baseline, args.threshold)
+    if args.case:
+        return update_cases(args.current, args.baseline, args.case, args.min_track)
     return update_baseline(args.current, args.baseline, args.min_track)
 
 

@@ -11,8 +11,9 @@ asserted verdict-identical before any timing claim is made.
 Outside the tracked unit, E24 also pins the state carry of a kernel rebuild
 on a restored copy: the first feed carrying a never-seen role set, and the
 first feed after a same-text re-registration of one spec, each cost at
-most 4x a snapshot+restore cycle and leave every other verdict as it was.
-The carry works once per distinct state, not once per object.
+most 5% of re-feeding the stream and leave every other verdict as it was.
+The carry works once per distinct state, not once per object; a carry
+that walks the objects in Python fails the bound.
 """
 
 import time
@@ -52,14 +53,14 @@ def test_e24_snapshot_restore_beats_refeeding(benchmark, run_once):
         restored = checkpoint_cycle()
         cycle_elapsed = min(cycle_elapsed, time.perf_counter() - start)
 
-    def five_checkpoint_cycles():
-        # The tracked unit is five full cycles: one cycle sits under the CI
-        # gate's 50ms tracking floor, which would silently untrack E24.
-        for _ in range(5):
+    def checkpoint_cycles():
+        # The tracked unit is 150 full cycles: one cycle takes ~0.5-1ms, far
+        # under the CI gate's 50ms tracking floor, which would untrack E24.
+        for _ in range(150):
             restored = checkpoint_cycle()
         return restored
 
-    run_once(benchmark, five_checkpoint_cycles)
+    run_once(benchmark, checkpoint_cycles)
 
     blob_bytes = len(stream.snapshot())
     ratio = cycle_elapsed / feed_elapsed
@@ -104,13 +105,14 @@ def test_e24_snapshot_restore_beats_refeeding(benchmark, run_once):
         reregister_elapsed = min(reregister_elapsed, first_feed(copy, known, kept))
         assert copy.last_revalidation.specs == (target,)
     print(
-        f"[E24] rebuild feeds: never-seen role set {alien_elapsed / cycle_elapsed:.2f}x, "
-        f"same-text re-registration {reregister_elapsed / cycle_elapsed:.2f}x of a cycle"
+        f"[E24] rebuild feeds: never-seen role set {alien_elapsed * 1000:.1f}ms "
+        f"({alien_elapsed / feed_elapsed:.1%} of re-feeding), same-text re-registration "
+        f"{reregister_elapsed * 1000:.1f}ms ({reregister_elapsed / feed_elapsed:.1%})"
     )
     for label, elapsed in (
         ("never-seen role set", alien_elapsed),
         ("re-registration", reregister_elapsed),
     ):
-        assert elapsed <= 4 * cycle_elapsed, (
-            f"the {label} rebuild feed took {elapsed / cycle_elapsed:.1f}x a checkpoint cycle"
+        assert elapsed <= 0.05 * feed_elapsed, (
+            f"the {label} rebuild feed took {elapsed / feed_elapsed:.1%} of re-feeding (> 5%)"
         )

@@ -37,8 +37,9 @@ Symbol = Hashable
 ObjectId = Hashable
 Event = Tuple[ObjectId, Symbol]
 
-#: zlib level for packed snapshot columns: level 1 keeps compression at
-#: memory-copy speed while already collapsing low-entropy columns by ~4-8x.
+#: zlib level for the list columns :func:`_pack_column` packs (a recording
+#: snapshot's traces): level 1 keeps compression at memory-copy speed while
+#: already collapsing low-entropy columns by ~4-8x.
 _PAYLOAD_ZLIB_LEVEL = 1
 
 #: Decompression bound for packed columns arriving from *untrusted* wire

@@ -1197,16 +1197,33 @@ class StreamChecker:
     def verdicts(self, name: str) -> Dict[ObjectId, bool]:
         """Per-object verdicts for one spec."""
         self._check_spec(name)
-        kernel = self._resolve_kernel()
-        dense = kernel.verdicts_of(name, self._columns, self._seen_codes(name))
-        codes = list(dense)
-        ids = self._interner.objects(codes)
-        # Identity codes are their own ids: the dense dict is the answer.
-        return dense if ids is codes else dict(zip(ids, dense.values()))
+        return self._keyed_verdicts((name,))[name]
 
     def all_verdicts(self) -> Dict[str, Dict[ObjectId, bool]]:
         """Per-object verdicts for every spec of the session."""
-        return {name: self.verdicts(name) for name in self._names}
+        return self._keyed_verdicts(self._names)
+
+    def _keyed_verdicts(self, names: Sequence[str]) -> Dict[str, Dict[ObjectId, bool]]:
+        """Per-object verdicts of ``names``, keyed by object id.  The specs
+        that track the present objects share one decode of their ids; a
+        reset spec, tracking those seen since, decodes its own."""
+        kernel = self._resolve_kernel()
+        decoded: Dict[Optional[str], Optional[List[ObjectId]]] = {}
+
+        def keyed(name: str) -> Dict[ObjectId, bool]:
+            # A call per spec: its dense dict and codes die before the next
+            # spec's are built, so the peak holds one spec's (~1 MB at 10⁴ ids).
+            dense = kernel.verdicts_of(name, self._columns, self._seen_codes(name))
+            key = None if self._seen[name] is None else name
+            if key not in decoded:
+                codes = list(dense)
+                ids = self._interner.objects(codes)
+                # Identity codes are their own ids: the dense dict is the answer.
+                decoded[key] = None if ids is codes else ids
+            ids = decoded[key]
+            return dense if ids is None else dict(zip(ids, dense.values()))
+
+        return {name: keyed(name) for name in names}
 
     # ------------------------------------------------------------------ #
     # Diagnostics and durability

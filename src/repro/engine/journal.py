@@ -369,8 +369,11 @@ class DurableStream:
         The snapshot is written tmp + fsync + ``os.replace`` (atomic on
         POSIX), the journal rotates to segment ``seq + 1``, the directory
         is fsynced, and only then are generations older than the ``retain``
-        newest checkpoints pruned.
+        newest checkpoints pruned.  A closed stream refuses before it
+        touches the directory.
         """
+        if self._closed:
+            raise JournalError("this durable stream is closed")
         blob = _fire("journal.checkpoint", self.stream.snapshot())
         path = self._rotate(self._seq + 1, blob)
         self._counts["checkpoints"] += 1

@@ -18,11 +18,15 @@ interner holds unfed ids (bodies written before ``absent`` existed omit it,
 and their every code below ``universe`` was fed) -- and, when the session
 records histories for diagnostics, the encoded traces, the symbol table
 needed to re-encode them elsewhere, and the per-spec reset marks that keep
-``explain`` aligned with the verdicts.  Group payloads are compact: the
-*occupied* product states are listed once as per-spec component tuples,
-and the per-object column ships as narrow-dtype zlib-compressed indices
-into that list (:func:`repro.engine.batch._pack_column`), so 10⁵ objects
-cost a few KB, not a pickle of 10⁵ rows.
+``explain`` aligned with the verdicts.  Group payloads are written as the
+kernel holds them (:meth:`repro.engine.vector.VectorKernel.snapshot_groups`):
+the group's product states listed once as per-spec component tuples, and
+the per-object state column as raw indices into that list, in the narrowest
+of ``B``/``H``/``q`` (:func:`repro.engine.vector.pack_index_array`).  So a
+group costs one byte per object at realistic spec sets -- ~100 KB at 10⁵
+objects, ~1 MB at 10⁶ -- written with one copy, never re-encoded; bytes
+are cheaper to write than to compress.  Older builds listed only the
+occupied states and zlib-compressed the column; restore reads both forms.
 
 The object interner is ``("dense", universe)`` in identity mode and
 ``("blocks", universe, blocks)`` in dict mode: the identity prefix as its
@@ -40,8 +44,10 @@ Restore validates, never trusts:
   truncation or bit flip anywhere in the body fails the checksum before a
   single byte is unpickled, and a blob over-claiming its length reads as
   truncated instead of allocating the claim;
-* packed state/trace columns decompress under a hard byte bound, so a
-  corrupted column cannot zip-bomb restore into a ``MemoryError``;
+* packed columns (trace columns, and the state columns of older builds)
+  decompress under a hard byte bound, so a corrupted column cannot
+  zip-bomb restore into a ``MemoryError``; a raw column is refused past
+  the same bound;
 * **everything** after the header checks surfaces as
   :class:`SnapshotError` -- never a raw ``struct.error`` / ``zlib.error`` /
   ``KeyError`` from five frames inside the rebuild (the one deliberate
@@ -90,8 +96,9 @@ happened between dump and restore.
 States are carried, not copied, along the path a live kernel rebuild
 takes (:meth:`repro.engine.vector.VectorKernel.carry_columns`): the
 restoring kernel may group specs differently (other alphabet width, other
-product cap), so each distinct state is re-materialized from its per-spec
-components once, and numpy fans it out to the per-object columns.
+product cap), so each distinct occupied state is re-materialized from its
+per-spec components once (a listed state no object sits on costs nothing),
+and numpy fans it out to the per-object columns.
 """
 
 from __future__ import annotations
@@ -227,7 +234,14 @@ def dump_stream(stream) -> bytes:
 
 
 def _unfed_codes(present: bytearray, universe: int) -> List[int]:
-    """The codes below ``universe`` whose presence flag is 0, in one pass."""
+    """The codes below ``universe`` whose presence flag is 0.
+
+    Usually every code below the universe was fed, and one ``find`` (a
+    ``memchr``) settles that; only a session holding unfed codes pays the
+    numpy scan that lists them.
+    """
+    if present.find(0, 0, universe) < 0:
+        return []
     flags = np.frombuffer(present, dtype=np.uint8, count=universe)
     return np.flatnonzero(flags == 0).tolist()
 
@@ -290,7 +304,6 @@ def load_stream(engine, blob: bytes):
     body = _parse(blob)
     try:
         names = tuple(body["names"])
-        group_states = sum(len(group["states"]) for group in body["groups"])
     except Exception as exc:
         raise SnapshotError(f"corrupt stream snapshot: {exc}") from exc
     for name in names:
@@ -301,9 +314,6 @@ def load_stream(engine, blob: bytes):
     obs = engine._obs
     if obs is not None:
         obs.snapshot_restore_bytes.inc(len(blob))
-        # Every occupied product state a group payload lists is one unit of
-        # restore work: the kernel carries each distinct state in once.
-        obs.snapshot_state_translations.inc(group_states)
     try:
         return _rebuild(engine, body, names)
     except SnapshotError:
@@ -331,7 +341,11 @@ def _rebuild(engine, body: Dict, names: Tuple[str, ...]):
     n_objects = len(stream._interner)
     if names:
         kernel = engine._kernel_for(names)
-        stream._columns = kernel.restore_columns(body["groups"], resets, n_objects)
+        # Each occupied product state is one unit of restore work: the
+        # carry counts the states it puts objects on, not those listed.
+        obs = engine._obs
+        counter = None if obs is None else obs.snapshot_state_translations
+        stream._columns = kernel.restore_columns(body["groups"], resets, n_objects, counter)
         kernel.grow_columns(stream._columns, n_objects)
         stream._kernel = kernel
     seen = body["seen"]

@@ -49,7 +49,6 @@ and a history set's offsets cut its codes into histories exactly.
 
 from __future__ import annotations
 
-import zlib
 from array import array
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -57,7 +56,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.batch import (
-    _PAYLOAD_ZLIB_LEVEL,
     COLUMN_WIRE_LIMIT,
     ColumnarHistorySet,
     EncodedBatch,
@@ -246,10 +244,13 @@ def check_history_columns(history_set: ColumnarHistorySet, n_symbols: int) -> No
 # Snapshot column packing
 # --------------------------------------------------------------------------- #
 def pack_index_array(values) -> Tuple[str, int, bytes]:
-    """:func:`repro.engine.batch._pack_column` for an ndarray source.
+    """A state column in the ``(typecode, zlib flag, bytes)`` wire form of
+    :func:`repro.engine.batch._pack_column`, serialized straight from the
+    array buffer.
 
-    Emits the identical ``(typecode, zlib flag, bytes)`` wire form but
-    narrows and serializes straight from the array buffer.
+    The typecode is the narrowest of ``B``/``H``/``q`` that holds the largest
+    entry, and the flag is always 0: the raw bytes cost less to write than
+    to compress.
     """
     high = int(values.max()) if values.size else 0
     if high <= 0xFF:
@@ -258,11 +259,7 @@ def pack_index_array(values) -> Tuple[str, int, bytes]:
         typecode, dtype = "H", np.uint16
     else:
         typecode, dtype = "q", np.int64
-    raw = np.ascontiguousarray(values.astype(dtype, copy=False)).tobytes()
-    packed = zlib.compress(raw, _PAYLOAD_ZLIB_LEVEL)
-    if len(packed) < len(raw):
-        return typecode, 1, packed
-    return typecode, 0, raw
+    return typecode, 0, values.astype(dtype, copy=False).tobytes()
 
 
 # --------------------------------------------------------------------------- #
@@ -831,7 +828,9 @@ class VectorKernel:
     # ------------------------------------------------------------------ #
     # State carry: kernel rebuilds and snapshot restores
     # ------------------------------------------------------------------ #
-    def carry_columns(self, sources: Sequence[Tuple], resets: Sequence[str] = ()) -> List:
+    def carry_columns(
+        self, sources: Sequence[Tuple], resets: Sequence[str] = (), counter=None
+    ) -> List:
         """This kernel's state columns for the objects ``sources`` hold.
 
         A source is ``(names, states, column)``: ``states[i]`` is source state
@@ -842,7 +841,10 @@ class VectorKernel:
         (compilation is deterministic).  Only numpy touches objects: one
         ``bincount`` over the first column, one ``np.unique`` folding each
         further one into a signature key, one gather per result column; so
-        ``ensure_state`` runs once per distinct signature, ascending.
+        ``ensure_state`` runs once per distinct signature, ascending, and a
+        listed state no object occupies is never touched.  ``counter``, when
+        given, counts the distinct states the result columns hold, summed
+        over the groups.
         """
         key = occupied = None
         picks: List = []  # per source, its state at each key value
@@ -869,6 +871,8 @@ class VectorKernel:
                 for name, spec in zip(group.names, group.specs)
             ]
             lookups.append([group.ensure_state(state) for state in zip(*parts)])
+        if counter is not None:
+            counter.inc(sum(len(set(lookup)) for lookup in lookups))
         columns = []
         for gi, lookup in enumerate(lookups):
             # Indexed by key value; synced after every ensure_state, as a
@@ -882,37 +886,32 @@ class VectorKernel:
     # Snapshot payloads
     # ------------------------------------------------------------------ #
     def snapshot_groups(self, columns: List) -> List[Dict]:
-        """Compact per-group wire payloads for :mod:`repro.engine.snapshot`.
+        """Per-group wire payloads for :mod:`repro.engine.snapshot`, written
+        as the kernel holds them.
 
-        The *occupied* product states are listed once as per-spec component
-        tuples and the per-object column ships as narrow-dtype indices into
-        that list; :meth:`restore_columns` reads them back.
+        ``states`` is the group's whole ``decode`` list (state ``i`` as its
+        per-spec component tuple) and ``column`` the live state column, packed
+        uncompressed by :func:`pack_index_array`: a checkpoint pays one
+        narrowing copy per column, not a re-encoding of the population.
+        :meth:`restore_columns` reads them back.
         """
-        groups: List[Dict] = []
-        for group, column in zip(self.groups, columns):
-            # A bincount remap instead of np.unique's sort: occupied states
-            # come out ascending all the same, in O(objects + states).
-            occupied = np.flatnonzero(np.bincount(column))
-            position = np.zeros(len(group.decode), dtype=_dtype_for(len(occupied)))
-            position[occupied] = np.arange(len(occupied))
-            groups.append(
-                {
-                    "names": group.names,
-                    "states": [group.decode[index] for index in occupied.tolist()],
-                    "column": pack_index_array(position[column]),
-                }
-            )
-        return groups
+        return [
+            {"names": group.names, "states": group.decode, "column": pack_index_array(column)}
+            for group, column in zip(self.groups, columns)
+        ]
 
     def restore_columns(
-        self, payloads: Sequence[Dict], resets: Sequence[str], n_objects: int
+        self, payloads: Sequence[Dict], resets: Sequence[str], n_objects: int, counter=None
     ) -> List:
         """The state columns of :meth:`snapshot_groups` payloads, carried in.
 
         The payloads come off the wire and may group the specs differently.
-        Each is checked against the restore rules of
-        :mod:`repro.engine.snapshot` before any state is materialized, and
-        ``SnapshotError`` names the first group payload that breaks one.
+        A payload may list any states, occupied or not, and its column may
+        come zlib-compressed (as older builds wrote it, with only the
+        occupied states listed) or raw.  Each is checked against the restore
+        rules of :mod:`repro.engine.snapshot` before any state is
+        materialized, and ``SnapshotError`` names the first group payload
+        that breaks one.  ``counter`` passes on to :meth:`carry_columns`.
         """
         sources: List[Tuple] = []
         unnamed = Counter(self.names)
@@ -928,7 +927,7 @@ class VectorKernel:
         missing = list(+unnamed)
         if missing:
             raise SnapshotError(f"corrupt stream snapshot: no group payload names {missing[0]!r}")
-        return self.carry_columns(sources, resets)
+        return self.carry_columns(sources, resets, counter)
 
     # ------------------------------------------------------------------ #
     # Whole histories: batch checking and screening
@@ -1043,8 +1042,9 @@ def _payload_fault(kernel, unnamed: Counter, names, states, column, resets, leng
         if not unnamed[name]:
             return f"names spec {name!r}, which the stream does not check or another payload names"
         unnamed[name] -= 1
-    if any(len(state) != len(names) for state in states):
-        return f"lists a state that is not {len(names)} components wide"
+    width = len(names)
+    if any(map(width.__ne__, map(len, states))):  # one C pass, however many states
+        return f"lists a state that is not {width} components wide"
     for name, components in zip(names, zip(*states)):
         group_index, k = kernel.locate[name]
         bound = len(kernel.groups[group_index].specs[k].accepting)

@@ -112,6 +112,24 @@ def test_closed_durable_stream_refuses_events(tmp_path):
         durable.feed_events(events[:3])
 
 
+def test_closed_durable_stream_refuses_a_checkpoint_before_touching_the_directory(tmp_path):
+    specs, events = _case(4)
+    durable = _engine(specs).open_durable_stream(tmp_path, checkpoint_every=None)
+    _feed_batches(durable, events)
+    durable.close()
+    listing, seq = _files(tmp_path, ""), durable.seq
+    with pytest.raises(JournalError, match="this durable stream is closed"):
+        durable.checkpoint()
+    # No checkpoint, no header-only segment, no open handle, no new seq.
+    assert _files(tmp_path, "") == listing
+    assert durable.seq == seq
+    assert durable._file is None
+    recovered = _engine(specs).recover_stream(tmp_path)
+    assert recovered.events_seen == len(events)
+    assert recovered.all_verdicts() == _oracle(specs, events)
+    recovered.close()
+
+
 def test_context_manager_and_stats(tmp_path):
     specs, events = _case(5)
     with _engine(specs).open_durable_stream(tmp_path, checkpoint_every=None) as durable:

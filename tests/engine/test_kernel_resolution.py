@@ -14,6 +14,7 @@ import pytest
 
 from repro import obs
 from repro.engine import HistoryCheckerEngine
+from repro.engine.batch import ObjectInterner
 from repro.workloads import banking, generators
 
 IC = banking.ROLE_INTEREST
@@ -166,3 +167,33 @@ def test_a_stream_without_specs_lists_the_objects_present():
     stream.feed_events([("acct", IC)])
     assert stream.objects() == (2, 5, "acct")
     assert stream.all_verdicts() == {}
+
+
+def test_all_verdicts_decodes_the_present_objects_once(monkeypatch):
+    engine, events, suite = _suite_engine()
+    events = [(f"acct-{object_id}", symbol) for object_id, symbol in events]  # dict mode
+    cut = len(events) // 2
+    head, tail = events[:cut], events[cut:]
+    stream = engine.open_stream()
+    stream.feed_events(head)
+    engine.add_spec("no_downgrade", suite["no_downgrade"])
+    stream.feed_events(tail)
+    decoded = []
+    objects = ObjectInterner.objects
+
+    def counting(self, codes):
+        decoded.append(len(codes))
+        return objects(self, codes)
+
+    monkeypatch.setattr(ObjectInterner, "objects", counting)
+    verdicts = stream.all_verdicts()
+    # Five specs track the present objects and share one decode; the
+    # re-registered spec tracks those seen since, a different set.
+    present, since = _histories(head + tail), _histories(tail)
+    assert sorted(decoded) == sorted([len(present), len(since)])
+    assert len(since) < len(present)
+    assert verdicts == {name: stream.verdicts(name) for name in suite}
+    for name, spec in suite.items():
+        histories = since if name == "no_downgrade" else present
+        expected = {object_id: spec.automaton.accepts(h) for object_id, h in histories.items()}
+        assert verdicts[name] == expected, name

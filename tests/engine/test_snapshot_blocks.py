@@ -17,7 +17,12 @@ The contract under test:
   builtins and ``repro``, is corruption (:class:`SnapshotError`);
 * so is a kernel group payload that leaves a spec out or names it twice,
   lists a state of the wrong width or with a component outside its spec's
-  table, or carries a column entry outside its states or past the interner.
+  table, or carries a column entry outside its states or past the interner;
+* a group payload is written as the kernel holds it -- the group's whole
+  ``decode`` list and the live state column, uncompressed in the narrowest
+  of ``B``/``H``/``q`` -- and the older form (occupied states only, remapped
+  indices, a zlib-compressed column) still restores to the same verdicts,
+  the carry counting the occupied states either way.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ import pytest
 from repro.engine import HistoryCheckerEngine, SnapshotError
 from repro.engine import snapshot as snapshot_wire
 from repro.engine.batch import SNAPSHOT_BLOCK, _unpack_column
+from repro.formal.nfa import NFA
+from repro.obs import MetricsRegistry
 from repro.workloads import banking, generators
 
 OPEN = banking.ROLE_INTEREST
@@ -296,3 +303,82 @@ def test_corrupt_group_payloads_raise_snapshot_error(kind):
     assert len(_body(stream.snapshot())["groups"]) == 1
     with pytest.raises(SnapshotError, match=_PAYLOAD_RULES[kind]):
         engine.restore_stream(_reframed(stream.snapshot(), _payload_edit(kind)))
+
+
+# --------------------------------------------------------------------------- #
+# Group payloads as the kernel holds them
+# --------------------------------------------------------------------------- #
+TRANSLATIONS = "repro_engine_snapshot_state_translations_total"
+
+
+def _banking_session(product_cap=None):
+    _histories, events, suite = generators.conforming_banking_stream(seed=7, objects=300)
+    caps = {} if product_cap is None else {"product_cap": product_cap}
+    engine = HistoryCheckerEngine(obs=MetricsRegistry("payloads"), **caps)
+    for name, spec in suite.items():
+        engine.add_spec(name, spec)
+    return engine, events
+
+
+def _counter_session():
+    """One 300-state modular counter: ``s0`` counts, ``s1`` holds."""
+    n = 300
+    transitions = {(state, "s0"): {(state + 1) % n} for state in range(n)}
+    transitions.update({(state, "s1"): {state} for state in range(n)})
+    engine = HistoryCheckerEngine(obs=MetricsRegistry("payloads"))
+    engine.add_spec("count", NFA(range(n), {"s0", "s1"}, transitions, {0}, {0}))
+    # Even counts only: states past 255 are occupied, half of all are not.
+    events = [(f"c{o}", "s0") for o in range(0, 400, 2) for _ in range(o * 7 % n)]
+    return engine, events + [(f"c{o}", "s1") for o in range(0, 400, 6)]
+
+
+#: Setup -> (session builder, group sizes, packed typecode per group).
+_SETUPS = {
+    "default-cap": (_banking_session, [26], "B"),
+    "cap-8": (lambda: _banking_session(product_cap=8), [7, 6, 5, 7], "B"),
+    "uint16-counter": (_counter_session, [300], "H"),
+}
+
+
+def _as_older_form(body):
+    """The pre-change payload: occupied states only, indices remapped into
+    them, the column zlib-compressed."""
+    for group in body["groups"]:
+        column = _unpack_column(group["column"])
+        occupied = sorted(set(column))
+        position = {state: index for index, state in enumerate(occupied)}
+        group["states"] = [group["states"][state] for state in occupied]
+        typecode = "B" if len(occupied) <= 0x100 else "H"
+        raw = array(typecode, [position[state] for state in column]).tobytes()
+        group["column"] = (typecode, 1, zlib.compress(raw, 1))
+
+
+@pytest.mark.parametrize("setup", list(_SETUPS))
+def test_group_payloads_are_the_kernel_columns_and_the_older_form_restores(setup):
+    build, sizes, typecode = _SETUPS[setup]
+    engine, events = build()
+    stream = engine.open_stream()
+    stream.feed_events(events)
+    blob = stream.snapshot()
+    groups, kernel = _body(blob)["groups"], stream._kernel
+    assert [len(group["states"]) for group in groups] == sizes
+    occupied = 0
+    for group, kernel_group, column in zip(groups, kernel.groups, stream._columns):
+        assert group["column"][:2] == (typecode, 0)
+        assert _unpack_column(group["column"]) == column.tolist()
+        assert group["states"] == kernel_group.decode
+        occupied += len(set(column.tolist()))
+    expected = stream.all_verdicts()
+
+    def translations():
+        return engine.stats()["metrics"][TRANSLATIONS]
+
+    for restore_blob in (blob, _reframed(blob, _as_older_form)):
+        before = translations()
+        restored = engine.restore_stream(restore_blob)
+        assert restored.all_verdicts() == expected
+        # The carry counts the occupied states, not the listed ones.
+        assert translations() - before == occupied
+    older = _body(_reframed(blob, _as_older_form))["groups"]
+    assert all(group["column"][1] == 1 for group in older)
+    assert sum(len(group["states"]) for group in older) == occupied < sum(sizes)

@@ -209,6 +209,7 @@ def test_pack_index_array_matches_list_packing():
         packed = pack_index_array(arr)
         assert _unpack_column(packed) == values
         assert packed[0] == _pack_column(values)[0]  # same narrowing ladder
+        assert packed[1] == 0  # raw bytes: state columns are never compressed
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ ids, fed through the enforcement gate with refusals, whose journal cut two
 checkpoints.  ``journal/`` is that build's own journal, with WAL columns
 narrowed to ``B``/``H``; ``journal-no-numpy/`` is the same session written
 by that build without numpy, whose WAL columns are int64 ``q``.  Byte
-equality of fresh dumps is deliberately not asserted here: packed columns
-are zlib-compressed, and zlib builds differ across machines.
+equality of fresh dumps is deliberately not asserted here: packed trace
+columns are zlib-compressed, and zlib builds differ across machines.
 """
 
 from __future__ import annotations
